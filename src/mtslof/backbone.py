@@ -116,11 +116,8 @@ class Linear:
             # Per-slice batched matmul keeps GEMM shapes independent of the
             # batch size, so eval outputs are bitwise batch-invariant.
             return x @ transpose(self.weight) + self.bias
-        # Training path: flatten leading axes into one large GEMM.
-        lead = x.data.shape[:-1]
-        flat = reshape(x, (-1, x.data.shape[-1])) if len(lead) != 1 else x
-        out = flat @ transpose(self.weight) + self.bias
-        return reshape(out, lead + (self.weight.data.shape[0],)) if len(lead) != 1 else out
+        # Training path: leading axes flattened into one large GEMM.
+        return ops.linear(x, self.weight, self.bias)
 
     def named_tensors(self, prefix: str) -> dict[str, Tensor]:
         return {prefix + "weight": self.weight, prefix + "bias": self.bias}

@@ -10,8 +10,10 @@ before acting, and all artifacts are written atomically.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
+import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -584,7 +586,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters and the values set at CLI entry.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD_BYTES = 256 << 20
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def set_allocator_policy() -> None:
+    """Keep freed heap pages for reuse instead of returning them to the kernel.
+
+    A training step frees its whole graph and the next step allocates the
+    same arrays again. With glibc's defaults, blocks over the dynamic mmap
+    threshold are unmapped on free and the heap top is trimmed, so every
+    step faults its pages in afresh. Fixed thresholds keep those pages in
+    the heap. Other C libraries are left as they are.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv: list[str] | None = None) -> int:
+    set_allocator_policy()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -228,6 +228,12 @@ def load_dataset(path: str) -> Dataset:
             f"payload length mismatch: expected {expected} bytes, file has {len(blob)}",
             offset=min(len(blob), expected))
     values = np.frombuffer(blob, dtype="<f4", count=value_count, offset=off)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise DataFormatError(
+            f"non-finite value {values[i]} at sample {i // (m * t)}, channel {i // t % m}, "
+            f"time {i % t}", offset=off + 4 * i)
     samples = values.reshape(n, m, t).astype(np.float32)
     return Dataset(samples, labels, c, name=os.path.basename(path))
 
@@ -247,10 +253,17 @@ def load_csv(path: str) -> Dataset:
             try:
                 rows.append([float(v) for v in parts[:-1]])
                 labels.append(int(float(parts[-1])))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from exc
             if len(rows[-1]) != len(rows[0]):
                 raise DataFormatError(f"line {lineno}: ragged row of length {len(rows[-1])}")
+            with np.errstate(over="ignore"):
+                row = np.asarray(rows[-1], dtype=np.float32)
+            bad = np.flatnonzero(~np.isfinite(row))
+            if bad.size:
+                raise DataFormatError(
+                    f"line {lineno}: non-finite value {row[bad[0]]} at sample {len(rows) - 1}, "
+                    f"channel 0, time {int(bad[0])}")
     if not rows:
         raise DataFormatError("CSV contains no samples")
     samples = np.asarray(rows, dtype=np.float32)[:, None, :]

@@ -27,6 +27,7 @@ from .tensor import (
     matmul,
     reshape,
     swapaxes,
+    unbroadcast,
 )
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
@@ -100,6 +101,32 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return reshape(out, data.shape[1:]) if squeeze else out
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x @ weight.T + bias with every leading axis of x flattened into one GEMM.
+
+    x is (..., d_in), weight is (d_out, d_in) and bias is (d_out,).
+    """
+    lead = x.data.shape[:-1]
+    d_out, d_in = weight.data.shape
+    if x.data.shape[-1:] != (d_in,):
+        raise ShapeError(f"linear input {x.data.shape} does not match weight {weight.data.shape}")
+    x2 = x.data.reshape(-1, d_in)
+    data = (x2 @ weight.data.T + bias.data).reshape(lead + (d_out,))
+    if not _tracking(x, weight, bias):
+        return _const(data)
+
+    def backward(g):
+        g2 = g.reshape(-1, d_out)
+        if weight.requires_grad:
+            accumulate(weight, g2.T @ x2)
+        if bias.requires_grad:
+            accumulate(bias, g2.sum(axis=0))
+        if x.requires_grad:
+            accumulate(x, (g2 @ weight.data).reshape(x.data.shape))
+
+    return _from_op(data, (x, weight, bias), backward)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x)."""
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
@@ -149,7 +176,26 @@ def normalize_moments(x: Tensor, axes, eps: float) -> Tensor:
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-slice normalization over the last (feature) axis with learnable scale/shift."""
-    return normalize_moments(x, (-1,), eps) * scale + shift
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
+    data = xhat * scale.data + shift.data
+    if not _tracking(x, scale, shift):
+        return _const(data)
+
+    def backward(g):
+        if scale.requires_grad:
+            accumulate(scale, unbroadcast(g * xhat, scale.data.shape))
+        if shift.requires_grad:
+            accumulate(shift, unbroadcast(g, shift.data.shape))
+        if x.requires_grad:
+            gh = g * scale.data
+            gm = gh.mean(axis=-1, keepdims=True)
+            gy = (gh * xhat).mean(axis=-1, keepdims=True)
+            accumulate(x, inv * (gh - gm - xhat * gy))
+
+    return _from_op(data, (x, scale, shift), backward)
 
 
 def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,

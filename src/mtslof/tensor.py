@@ -246,10 +246,18 @@ def _tracking(*tensors: Tensor) -> bool:
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add an upstream gradient into a tensor's accumulator."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    """Add an upstream gradient into a tensor's accumulator.
+
+    The first gradient is kept as it is, without a copy. One upstream
+    array can reach several parents (as in ``a + b``), so later gradients
+    are summed into a new array and never written in place.
+    """
+    if g.shape != t.data.shape or g.dtype != t.data.dtype:
+        raise ShapeError(
+            f"gradient of shape {g.shape} and dtype {g.dtype} does not match "
+            f"tensor of shape {t.data.shape} and dtype {t.data.dtype}"
+        )
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -41,6 +41,10 @@ from mtslof.training import (
     _pretrain_params,
 )
 
+# Every criterion trains or sweeps for seconds to minutes; `-m "not slow"`
+# leaves them out of a quick run.
+pytestmark = pytest.mark.slow
+
 SEEDS = (2019, 2020, 2021, 2022, 2023)
 
 ACC_PATCHER = PatcherConfig(first_kernel=8, first_stride=1,

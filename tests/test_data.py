@@ -120,6 +120,19 @@ def test_load_label_out_of_range(tmp_path):
         load_dataset(str(path))
 
 
+def test_load_non_finite_value_names_sample_channel_time_and_offset(tmp_path):
+    ds = generate_synthetic(small_cfg())
+    path = tmp_path / "nan.bin"
+    save_dataset(ds, str(path))
+    offset = 24 + 4 * ds.n + 4 * ((1 * ds.channels + 1) * ds.length + 3)
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match="sample 1, channel 1, time 3") as info:
+        load_dataset(str(path))
+    assert info.value.offset == offset
+
+
 def test_single_sample_file_loads_but_split_fails(tmp_path):
     ds = Dataset(np.zeros((1, 2, 8), dtype=np.float32), np.zeros(1, dtype=np.int64), 1)
     path = str(tmp_path / "one.bin")
@@ -137,6 +150,19 @@ def test_csv_import_single_channel(tmp_path):
     assert ds.samples.shape == (2, 1, 3)
     assert ds.class_count == 2
     assert np.array_equal(ds.labels, [0, 1])
+
+
+def test_csv_non_finite_value_names_line_sample_and_time(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("1.0,2.0,3.0,0\n# comment\n4.0,nan,6.0,1\n")
+    with pytest.raises(DataFormatError, match="line 3: .*sample 1, channel 0, time 1"):
+        load_csv(str(path))
+    path.write_text("1.0,2.0,3.0,0\n4.0,5.0,1e39,1\n")
+    with pytest.raises(DataFormatError, match="line 2: .*sample 1, channel 0, time 2"):
+        load_csv(str(path))
+    path.write_text("1.0,2.0,3.0,0\n4.0,5.0,6.0,inf\n")
+    with pytest.raises(DataFormatError, match="line 2: "):
+        load_csv(str(path))
 
 
 def test_csv_ragged_rejected(tmp_path):

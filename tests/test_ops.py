@@ -239,18 +239,66 @@ def test_layer_norm_moments(rng):
 
 
 def test_layer_norm_grad_on_4x8(rng):
+    # The (2, 3, 8) input makes the scale and shift gradients reduce over
+    # two leading axes.
+    for shape in ((4, 8), (2, 3, 8)):
+        with use_dtype(np.float64):
+            x = parameter(rng.normal(size=shape))
+            scale = parameter(rng.uniform(0.5, 1.5, 8))
+            shift = parameter(rng.normal(size=8))
+            r = Tensor(rng.normal(size=shape))
+            (ops.layer_norm(x, scale, shift) * r).sum().backward()
+            for tensor, label in ((x, "x"), (scale, "scale"), (shift, "shift")):
+                fd = central_diff(
+                    lambda: float((ops.layer_norm(Tensor(x.data), Tensor(scale.data),
+                                                  Tensor(shift.data)) * r).sum().data),
+                    tensor.data)
+                assert_grads_close(tensor.grad, fd, rtol=1e-4, label=f"layer_norm {label} {shape}")
+
+
+def test_layer_norm_forward_bit_equal_to_composed_expression(rng):
+    x = parameter(rng.normal(3.0, 2.0, size=(5, 7, 16)))
+    scale = parameter(rng.uniform(0.5, 1.5, 16))
+    shift = parameter(rng.normal(size=16))
+    composed = ops.normalize_moments(x, (-1,), 1e-5) * scale + shift
+    out = ops.layer_norm(x, scale, shift, 1e-5)
+    assert out.data.dtype == np.float32
+    assert np.array_equal(out.data, composed.data)
+
+
+# -- linear --------------------------------------------------------------
+
+
+def test_linear_grads_match_finite_differences(rng):
     with use_dtype(np.float64):
-        x = parameter(rng.normal(size=(4, 8)))
-        scale = parameter(rng.uniform(0.5, 1.5, 8))
-        shift = parameter(rng.normal(size=8))
-        r = Tensor(rng.normal(size=(4, 8)))
-        (ops.layer_norm(x, scale, shift) * r).sum().backward()
-        for tensor, label in ((x, "x"), (scale, "scale"), (shift, "shift")):
+        x = parameter(rng.normal(size=(2, 3, 4)))
+        weight = parameter(rng.normal(size=(5, 4)))
+        bias = parameter(rng.normal(size=5))
+        r = Tensor(rng.normal(size=(2, 3, 5)))
+        (ops.linear(x, weight, bias) * r).sum().backward()
+        for tensor, label in ((x, "x"), (weight, "weight"), (bias, "bias")):
             fd = central_diff(
-                lambda: float((ops.layer_norm(Tensor(x.data), Tensor(scale.data),
-                                              Tensor(shift.data)) * r).sum().data),
+                lambda: float((ops.linear(Tensor(x.data), Tensor(weight.data),
+                                          Tensor(bias.data)) * r).sum().data),
                 tensor.data)
-            assert_grads_close(tensor.grad, fd, rtol=1e-4, label=f"layer_norm {label}")
+            assert_grads_close(tensor.grad, fd, rtol=1e-5, label=f"linear {label}")
+
+
+def test_linear_forward_bit_equal_to_composed_expression(rng):
+    weight = parameter(rng.normal(size=(24, 16)))
+    bias = parameter(rng.normal(size=24))
+    for shape in ((9, 16), (5, 7, 16)):
+        x = parameter(rng.normal(size=shape))
+        flat = x.reshape(-1, 16) @ weight.transpose() + bias
+        composed = flat.reshape(shape[:-1] + (24,))
+        out = ops.linear(x, weight, bias)
+        assert out.data.dtype == np.float32
+        assert np.array_equal(out.data, composed.data)
+
+
+def test_linear_rejects_mismatched_input():
+    with pytest.raises(ShapeError, match=r"\(3, 6\).*\(5, 4\)"):
+        ops.linear(Tensor(np.zeros((3, 6))), parameter(np.zeros((5, 4))), parameter(np.zeros(5)))
 
 
 # -- l2 normalize --------------------------------------------------------

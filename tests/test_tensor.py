@@ -103,6 +103,25 @@ def test_grad_accumulates_across_backwards():
     assert np.allclose(x.grad, 8.0)
 
 
+def test_accumulate_rejects_mismatched_gradient_naming_both():
+    x = parameter(np.zeros((3, 4), dtype=np.float32))
+    with pytest.raises(ShapeError, match=r"\(4,\).*\(3, 4\)"):
+        T.accumulate(x, np.ones(4, dtype=np.float32))
+    with pytest.raises(ShapeError, match="float64.*float32"):
+        T.accumulate(x, np.ones((3, 4), dtype=np.float64))
+    assert x.grad is None
+
+
+def test_accumulate_into_one_parent_leaves_shared_grad_of_other_unchanged():
+    a = parameter(np.zeros(3))
+    b = parameter(np.zeros(3))
+    (a + b).sum().backward()
+    assert np.shares_memory(a.grad, b.grad)
+    T.accumulate(a, np.full(3, 2.0, dtype=np.float32))
+    assert np.array_equal(a.grad, [3.0, 3.0, 3.0])
+    assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
 def test_broadcast_add_grad():
     with use_dtype(np.float64):
         a = parameter(np.zeros((3, 4)))
