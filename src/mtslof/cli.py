@@ -15,7 +15,6 @@ import math
 import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,14 +30,15 @@ from .data import (
     load_dataset,
     normalize,
     save_dataset,
-    split,
 )
-from .errors import CheckpointMismatchError, ConfigError, MtslofError, ShapeError
+from .errors import CheckpointMismatchError, ConfigError, MtslofError
 from .objective import MaskConfig, TCRConfig
 from .tensor import Tensor, no_grad
 from .training import (
     OptimConfig,
+    TrainRun,
     build_model,
+    check_input_shape,
     checkpoint_norm_stats,
     evaluate,
     finetune,
@@ -46,8 +46,10 @@ from .training import (
     linear_probe,
     load_model_state,
     model_state,
+    prepare_splits,
     pretrain,
     run_summary_text,
+    select_fraction,
 )
 
 
@@ -261,29 +263,15 @@ def _describe_mismatch(exc: CheckpointMismatchError, cfg: dict) -> str:
     return f"checkpoint/config mismatch: {msg}"
 
 
-def _checkpoint_shape_guard(loaded: dict, ds: Dataset) -> None:
-    stats = checkpoint_norm_stats(loaded)
-    if stats is not None and stats.mean.shape[0] != ds.channels:
-        raise ShapeError(
-            f"checkpoint/config mismatch on channels: checkpoint m={stats.mean.shape[0]}, "
-            f"dataset m={ds.channels}")
-    if "meta.input_length" in loaded:
-        t_src = int(loaded["meta.input_length"][0])
-        if t_src != ds.length:
-            raise ShapeError(
-                f"checkpoint/config mismatch on length: checkpoint t={t_src}, dataset t={ds.length}")
-
-
-def _prepare_with_checkpoint_stats(ds: Dataset, cfg: dict, loaded: dict):
-    train, val, test = split(ds, _split_spec(cfg))
-    stats = checkpoint_norm_stats(loaded)
-    if stats is None:
-        train, stats = normalize(train)
-    else:
-        train, _ = normalize(train, stats)
-    val, _ = normalize(val, stats)
-    test, _ = normalize(test, stats)
-    return train, val, test, stats
+def _load_model(cfg: dict, patcher: PatcherConfig, encoder: EncoderConfig, class_count: int,
+                seed: int, loaded: dict, include_head: bool):
+    """Build a model and load checkpoint tensors into it; a mismatch names the config field."""
+    backbone, decoder = build_model(patcher, encoder, class_count, cfg["decoder_depth"], seed)
+    try:
+        load_model_state(backbone, decoder, loaded, include_head=include_head)
+    except CheckpointMismatchError as exc:
+        raise ConfigError(_describe_mismatch(exc, cfg)) from exc
+    return backbone, decoder
 
 
 def _summary_csv(rows: list[tuple[int, float, float]]) -> str:
@@ -317,9 +305,7 @@ def cmd_gen_data(cfg: dict, args) -> int:
 def cmd_pretrain(cfg: dict, args) -> int:
     ds = _load_any_dataset(args.data)
     patcher, encoder, maskcfg, tcrcfg, optcfg = _configs_from(cfg, ds.channels)
-    train, val, test = split(ds, _split_spec(cfg))
-    train, stats = normalize(train)
-    val, _ = normalize(val, stats)
+    train, val, _, stats = prepare_splits(ds, _split_spec(cfg))
     seeds = cfg["seeds"]
     multi = len(seeds) > 1
     for seed in seeds:
@@ -341,22 +327,18 @@ def _probe_like(cfg: dict, args, mode: str) -> int:
     ds = _load_any_dataset(args.data)
     patcher, encoder, maskcfg, tcrcfg, optcfg = _configs_from(cfg, ds.channels)
     loaded = load_checkpoint(args.checkpoint)
-    _checkpoint_shape_guard(loaded, ds)
-    train, val, test, stats = _prepare_with_checkpoint_stats(ds, cfg, loaded)
+    check_input_shape(loaded, ds)
+    train, val, test, stats = prepare_splits(ds, _split_spec(cfg), checkpoint_norm_stats(loaded))
     seeds = cfg["seeds"]
     multi = len(seeds) > 1
     rows = []
     for seed in seeds:
-        backbone, decoder = build_model(patcher, encoder, ds.class_count,
-                                        cfg["decoder_depth"], seed)
-        try:
-            load_model_state(backbone, decoder, loaded, include_head=False)
-        except CheckpointMismatchError as exc:
-            raise ConfigError(_describe_mismatch(exc, cfg)) from exc
+        backbone, decoder = _load_model(cfg, patcher, encoder, ds.class_count, seed, loaded,
+                                        include_head=False)
         if mode == "probe":
             run, metrics = linear_probe(train, val, test, backbone, optcfg, seed)
         else:
-            k = max(1, int(round(cfg["fraction"] * train.n)))
+            k = select_fraction(train.n, cfg["fraction"], seed).size
             print(f"seed={seed} fraction={cfg['fraction']} fraction_samples={k}")
             run, metrics = finetune(train, val, test, backbone, cfg["fraction"], optcfg, seed)
         rows.append((seed, metrics.accuracy, metrics.macro_f1))
@@ -383,26 +365,21 @@ def cmd_finetune(cfg: dict, args) -> int:
 
 def cmd_eval(cfg: dict, args) -> int:
     ds = _load_any_dataset(args.data)
-    patcher, encoder, _, _, optcfg = _configs_from(cfg, ds.channels)
+    patcher, encoder, _, _, _ = _configs_from(cfg, ds.channels)
     loaded = load_checkpoint(args.checkpoint)
-    _checkpoint_shape_guard(loaded, ds)
-    train, val, test, _ = _prepare_with_checkpoint_stats(ds, cfg, loaded)
+    check_input_shape(loaded, ds)
+    train, val, test, _ = prepare_splits(ds, _split_spec(cfg), checkpoint_norm_stats(loaded))
     part = {"train": train, "val": val, "test": test}.get(cfg["eval_split"])
     if part is None:
         raise ConfigError(f"eval_split must be train, val, or test, got {cfg['eval_split']!r}")
-    backbone, decoder = build_model(patcher, encoder, ds.class_count,
-                                    cfg["decoder_depth"], cfg["seeds"][0])
-    try:
-        load_model_state(backbone, decoder, loaded, include_head=True)
-    except CheckpointMismatchError as exc:
-        raise ConfigError(_describe_mismatch(exc, cfg)) from exc
+    seed = cfg["seeds"][0]
+    backbone, _ = _load_model(cfg, patcher, encoder, ds.class_count, seed, loaded,
+                              include_head=True)
     metrics = evaluate(backbone, part)
     if args.out:
-        cols = ["epoch", "split", "loss", "accuracy", "macro_f1"]
-        cols += [f"per_class_f1_{k}" for k in range(ds.class_count)]
-        cells = ["0", cfg["eval_split"], "nan", f"{metrics.accuracy:.6f}", f"{metrics.macro_f1:.6f}"]
-        cells += [f"{v:.6f}" for v in metrics.per_class_f1]
-        _write_text(args.out, ",".join(cols) + "\n" + ",".join(cells) + "\n")
+        run = TrainRun(seed=seed, mode="eval")
+        run.record(0, cfg["eval_split"], float("nan"), metrics)
+        _write_text(args.out, history_csv(run, ds.class_count))
     print(f"accuracy={metrics.accuracy:.6f} macro_f1={metrics.macro_f1:.6f}")
     return 0
 
@@ -411,18 +388,10 @@ def cmd_export_embeddings(cfg: dict, args) -> int:
     ds = _load_any_dataset(args.data)
     patcher, encoder, _, _, _ = _configs_from(cfg, ds.channels)
     loaded = load_checkpoint(args.checkpoint)
-    _checkpoint_shape_guard(loaded, ds)
-    stats = checkpoint_norm_stats(loaded)
-    if stats is not None:
-        ds_n, _ = normalize(ds, stats)
-    else:
-        ds_n, _ = normalize(ds)
-    backbone, decoder = build_model(patcher, encoder, ds.class_count,
-                                    cfg["decoder_depth"], cfg["seeds"][0])
-    try:
-        load_model_state(backbone, decoder, loaded, include_head=True)
-    except CheckpointMismatchError as exc:
-        raise ConfigError(_describe_mismatch(exc, cfg)) from exc
+    check_input_shape(loaded, ds)
+    ds_n, _ = normalize(ds, checkpoint_norm_stats(loaded))
+    backbone, _ = _load_model(cfg, patcher, encoder, ds.class_count, cfg["seeds"][0], loaded,
+                              include_head=True)
     d = encoder.model_dim
     lines = ["index,label," + ",".join(f"e{k}" for k in range(d))]
     with no_grad():
@@ -452,10 +421,7 @@ def cmd_ablate(cfg: dict, args) -> int:
         n_masks, ratio = point
         patcher, encoder, _, tcrcfg, optcfg = _configs_from(cfg, ds.channels)
         maskcfg = MaskConfig(ratio=ratio, count=n_masks)
-        train, val, test = split(ds, spec)
-        train, stats = normalize(train)
-        val, _ = normalize(val, stats)
-        test, _ = normalize(test, stats)
+        train, val, test, _ = prepare_splits(ds, spec)
         accs, f1s = [], []
         for seed in seeds:
             backbone, decoder = build_model(patcher, encoder, ds.class_count,
@@ -466,28 +432,14 @@ def cmd_ablate(cfg: dict, args) -> int:
             f1s.append(metrics.macro_f1)
         return float(np.mean(accs)), float(np.mean(f1s))
 
-    workers = max(1, int(os.environ.get("MTSLOF_THREADS", "1")))
-    results: list[tuple[float, float] | None] = [None] * len(grid)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_point, pt): i for i, pt in enumerate(grid)}
-            for fut, i in futures.items():
-                try:
-                    results[i] = fut.result()
-                except MtslofError as exc:
-                    print(f"grid point {grid[i]} failed: {exc}", file=sys.stderr)
-                    results[i] = (float("nan"), float("nan"))
-    else:
-        for i, pt in enumerate(grid):
-            try:
-                results[i] = run_point(pt)
-            except MtslofError as exc:
-                print(f"grid point {pt} failed: {exc}", file=sys.stderr)
-                results[i] = (float("nan"), float("nan"))
-
     lines = ["mask_count,mask_ratio,accuracy,macro_f1"]
-    for (n_masks, ratio), (acc, f1) in zip(grid, results):
-        lines.append(f"{n_masks},{ratio},{acc:.6f},{f1:.6f}")
+    for point in grid:
+        try:
+            acc, f1 = run_point(point)
+        except MtslofError as exc:
+            print(f"grid point {point} failed: {exc}", file=sys.stderr)
+            acc = f1 = float("nan")
+        lines.append(f"{point[0]},{point[1]},{acc:.6f},{f1:.6f}")
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"grid_points={len(grid)}")
     return 0

@@ -18,7 +18,7 @@ import numpy as np
 from . import ops
 from .backbone import Backbone, EncoderConfig, Linear, TransformerEncoder, positional_encoding, trunc_normal
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import Tensor, as_tensor, expand, parameter, reshape, scatter_rows, swapaxes, take_batch, take_rows
+from .tensor import Tensor, as_tensor, expand, parameter, reshape, scatter_rows, swapaxes, take_rows
 
 
 @dataclass
@@ -151,12 +151,26 @@ class Decoder:
         return out
 
 
-# -- single-view operations ---------------------------------------------
+# -- masked-view operations ---------------------------------------------
+#
+# Each takes one view (tokens (p, d), mask (p,)) or a stack of B views
+# (tokens (B, p, d), masks (B, p)); the objectives below call them on stacks.
 
 
 def _mask_indices(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending visible and hidden positions, shaped (..., v) and (..., h)."""
     mask = np.asarray(mask, dtype=bool)
-    return np.flatnonzero(~mask), np.flatnonzero(mask)
+    counts = mask.sum(axis=-1).reshape(-1)
+    ragged = np.flatnonzero(counts != counts[:1])
+    if ragged.size:
+        i = int(ragged[0])
+        raise ShapeError(f"mask {i} hides {counts[i]} patches but mask 0 hides {counts[0]}; "
+                         "stacked masks must hide the same number")
+    h = int(counts[0]) if counts.size else 0
+    lead = mask.shape[:-1]
+    visible = np.nonzero(~mask)[-1].reshape(lead + (mask.shape[-1] - h,))
+    hidden = np.nonzero(mask)[-1].reshape(lead + (h,))
+    return visible, hidden
 
 
 def encode_visible(tokens_pe: Tensor, mask: np.ndarray, backbone: Backbone,
@@ -176,8 +190,8 @@ def assemble_decoder_input(z_vis: Tensor, mask: np.ndarray, decoder: Decoder) ->
     d = decoder.cfg.model_dim
     placed = scatter_rows(z_vis, visible, p)
     if hidden.size:
-        token_block = expand(reshape(decoder.mask_token, (1, d)), (hidden.size, d))
-        placed = placed + scatter_rows(token_block, hidden, p)
+        token = reshape(decoder.mask_token, (1,) * hidden.ndim + (d,))
+        placed = placed + scatter_rows(expand(token, hidden.shape + (d,)), hidden, p)
     pe = positional_encoding(p, d, dtype=z_vis.data.dtype)
     return placed + as_tensor(pe, z_vis)
 
@@ -242,16 +256,9 @@ def masked_mse(recon: Tensor, target: np.ndarray, hidden: np.ndarray) -> Tensor:
     """Squared error averaged over hidden-row entries only; zero when nothing is hidden."""
     if hidden.size == 0:
         return as_tensor(np.zeros((), dtype=recon.data.dtype), recon)
-    diff = take_rows(recon, hidden) - as_tensor(target[hidden], recon)
+    rows = np.take_along_axis(target, hidden[..., None], axis=-2)
+    diff = take_rows(recon, hidden) - as_tensor(rows, recon)
     return (diff * diff).mean()
-
-
-def _stack_masksets(masksets: list[MaskSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-sample mask indices into (b*N, v) and (b*N, h) arrays."""
-    visible = np.stack([ms.visible for ms in masksets])   # (b, N, v)
-    hidden = np.stack([ms.hidden for ms in masksets])     # (b, N, h)
-    b, n, v = visible.shape
-    return visible.reshape(b * n, v), hidden.reshape(b * n, hidden.shape[2])
 
 
 def lof_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
@@ -279,22 +286,15 @@ def lof_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
         # Splittable per-sample streams: batches could be prepared concurrently.
         masks = [sample_masks(p, maskcfg, r) for r in rng.spawn(b)]
     n = masks[0].count
-    vis_idx, hid_idx = _stack_masksets(masks)
-    h = hid_idx.shape[1]
+    mask_stack = np.concatenate([ms.masks for ms in masks])                # (b*n, p)
 
     # Full view: plain encoder path.
     z_full = ops.mean_pool(backbone.encode(tokens_pe, training, rng))       # (b, d)
 
     # Masked views, all samples and masks stacked into one batch axis.
     tok_rep = reshape(expand(reshape(tokens_pe, (b, 1, p, d)), (b, n, p, d)), (b * n, p, d))
-    z_vis = backbone.encode(take_rows(tok_rep, vis_idx), training, rng)     # (b*n, v, d)
-    placed = scatter_rows(z_vis, vis_idx, p)
-    if h:
-        token_block = expand(reshape(decoder.mask_token, (1, 1, d)), (b * n, h, d))
-        placed = placed + scatter_rows(token_block, hid_idx, p)
-    pe = positional_encoding(p, d, dtype=placed.data.dtype)
-    dec_out = decoder(placed + as_tensor(pe, placed), training, rng)        # (b*n, p, d)
-    views = ops.mean_pool(dec_out)                                          # (b*n, d)
+    z_vis = encode_visible(tok_rep, mask_stack, backbone, training, rng)    # (b*n, v, d)
+    views = ops.mean_pool(decode_full(z_vis, mask_stack, decoder, training, rng))  # (b*n, d)
 
     zn_full = ops.l2_normalize(z_full)
     zn_views = ops.l2_normalize(views)
@@ -325,9 +325,9 @@ def mae_recon_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
                    training: bool = True) -> Tensor:
     """Masked-autoencoder baseline: reconstruct hidden patch tokens.
 
-    One mask per sample; the target is the patcher output (token space,
-    no positional table), treated as constant. The error is averaged over
-    hidden token entries only.
+    One mask per sample, all hiding the same number of patches; the target
+    is the patcher output (token space, no positional table), treated as
+    constant. The error is averaged over hidden token entries only.
     """
     if decoder.recon_head is None:
         raise ConfigError("mae_recon_loss needs a decoder built with a reconstruction head")
@@ -346,20 +346,8 @@ def mae_recon_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
         one = MaskConfig(ratio=maskcfg.ratio, count=1, rng_seed=maskcfg.rng_seed)
         masks = [sample_masks(p, one, r).masks[0] for r in rng.spawn(b)]
 
-    total = None
-    hidden_entries = 0
-    for j in range(b):
-        visible, hidden = _mask_indices(masks[j])
-        sample_tokens = reshape(take_batch(tokens_pe, np.array([j])), (p, d))
-        z_vis = backbone.encode(take_rows(sample_tokens, visible), training, rng)
-        dec = decode_full(z_vis, masks[j], decoder, training, rng)
-        recon = decoder.recon_head(dec)
-        if hidden.size == 0:
-            continue
-        diff = take_rows(recon, hidden) - as_tensor(target[j][hidden], recon)
-        err = (diff * diff).sum()
-        total = err if total is None else total + err
-        hidden_entries += hidden.size * d
-    if total is None:
-        return as_tensor(np.zeros((), dtype=tokens.data.dtype), tokens)
-    return total * (1.0 / hidden_entries)
+    mask_stack = np.stack(masks)                                             # (b, p)
+    z_vis = encode_visible(tokens_pe, mask_stack, backbone, training, rng)
+    recon = decoder.recon_head(decode_full(z_vis, mask_stack, decoder, training, rng))
+    _, hidden = _mask_indices(mask_stack)
+    return masked_mse(recon, target, hidden)

@@ -34,10 +34,6 @@ class _ThreadState(threading.local):
 _STATE = _ThreadState()
 
 
-def default_dtype():
-    return _STATE.dtype
-
-
 @contextlib.contextmanager
 def use_dtype(dtype):
     """Temporarily change the dtype new tensors are created with (this thread)."""
@@ -519,23 +515,6 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     def backward(g):
         ga = np.zeros_like(a.data)
         np.add.at(ga, gather, g)
-        accumulate(a, ga)
-
-    return _from_op(data, (a,), backward)
-
-
-def take_batch(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather slices along the leading axis: out[j] = a[idx[j]]."""
-    idx = np.asarray(idx)
-    if idx.ndim != 1:
-        raise ShapeError(f"take_batch needs 1D indices, got {idx.shape}")
-    data = a.data[idx]
-    if not _tracking(a):
-        return _const(data)
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
         accumulate(a, ga)
 
     return _from_op(data, (a,), backward)

@@ -255,10 +255,27 @@ def checkpoint_norm_stats(loaded: dict[str, np.ndarray]) -> NormStats | None:
     return None
 
 
-def prepare_splits(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset, NormStats]:
-    """Split, then z-score all parts with training-split statistics."""
+def check_input_shape(loaded: dict[str, np.ndarray], ds: Dataset) -> None:
+    """Reject a dataset whose channel count or length differs from the
+    input the checkpoint was trained on."""
+    stats = checkpoint_norm_stats(loaded)
+    if stats is not None and stats.mean.shape[0] != ds.channels:
+        raise ShapeError(
+            f"checkpoint/config mismatch on channels: checkpoint m={stats.mean.shape[0]}, "
+            f"dataset m={ds.channels}")
+    if "meta.input_length" in loaded:
+        t_src = int(loaded["meta.input_length"][0])
+        if t_src != ds.length:
+            raise ShapeError(
+                f"checkpoint/config mismatch on length: checkpoint t={t_src}, dataset t={ds.length}")
+
+
+def prepare_splits(ds: Dataset, spec: SplitSpec, stats: NormStats | None = None
+                   ) -> tuple[Dataset, Dataset, Dataset, NormStats]:
+    """Split, then z-score all parts with `stats`; without them, with
+    statistics computed on the training split."""
     train, val, test = split(ds, spec)
-    train, stats = normalize(train)
+    train, stats = normalize(train, stats)
     val, _ = normalize(val, stats)
     test, _ = normalize(test, stats)
     return train, val, test, stats
@@ -430,22 +447,9 @@ def transfer_eval(source_checkpoint: str, target: Dataset,
     stored with the checkpoint are applied, never recomputed.
     """
     loaded = load_checkpoint(source_checkpoint)
-    stats = checkpoint_norm_stats(loaded)
-    if stats is not None and stats.mean.shape[0] != target.channels:
-        raise ShapeError(
-            f"channel mismatch: source m={stats.mean.shape[0]}, target m={target.channels}")
-    if "meta.input_length" in loaded:
-        t_src = int(loaded["meta.input_length"][0])
-        if t_src != target.length:
-            raise ShapeError(f"length mismatch: source t={t_src}, target t={target.length}")
+    check_input_shape(loaded, target)
     backbone, decoder = build_model(patcher_cfg, encoder_cfg, target.class_count,
                                     decoder_depth, seed)
     load_model_state(backbone, decoder, loaded, include_head=False)
-    train, val, test = split(target, split_spec)
-    if stats is None:
-        train, stats = normalize(train)
-    else:
-        train, _ = normalize(train, stats)
-    val, _ = normalize(val, stats)
-    test, _ = normalize(test, stats)
+    train, val, test, _ = prepare_splits(target, split_spec, checkpoint_norm_stats(loaded))
     return linear_probe(train, val, test, backbone, optcfg, seed)

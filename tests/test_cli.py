@@ -165,6 +165,16 @@ def test_finetune_echoes_fraction_samples(workdir, tmp_path, capsys):
     assert "fraction_samples=6" in printed
 
 
+def test_finetune_bad_fraction_rejected_before_echo(workdir, tmp_path, capsys):
+    code = main(["finetune", "--data", workdir["data"], "--checkpoint", workdir["ckpt"],
+                 "--out", str(tmp_path / "ft0.csv"), "--seed", "2019", "--epochs", "1",
+                 "--fraction", "0", *TINY])
+    assert code != 0
+    captured = capsys.readouterr()
+    assert "fraction_samples=" not in captured.out
+    assert "fraction must lie in (0, 1]" in captured.err
+
+
 def test_eval_after_finetune_overfits_train_split(workdir, tmp_path, capsys):
     saved = str(tmp_path / "memorized.ckpt")
     code = main(["finetune", "--data", workdir["data"], "--checkpoint", workdir["ckpt"],

@@ -7,7 +7,7 @@ import pytest
 
 from mtslof import ops
 from mtslof.backbone import Backbone, EncoderConfig, PatcherConfig, positional_encoding
-from mtslof.errors import ConfigError, NumericError
+from mtslof.errors import ConfigError, NumericError, ShapeError
 from mtslof.objective import (
     Decoder,
     MaskConfig,
@@ -158,6 +158,28 @@ def test_decode_full_output_shape(rng):
     with no_grad():
         out = decode_full(Tensor(rng.normal(size=(1, 8)).astype(np.float32)), mask, decoder)
     assert out.shape == (4, 8)
+
+
+def test_stacked_views_match_single_view_calls(rng):
+    with use_dtype(np.float64):
+        backbone, decoder = tiny_model()
+        masks = sample_masks(4, MaskConfig(0.5, 3, rng_seed=1)).masks      # (3, 4)
+        hidden = np.stack([np.flatnonzero(m) for m in masks])
+        tokens = rng.normal(size=(3, 4, 8))
+        target = rng.normal(size=(3, 4, 8))
+        with no_grad():
+            z_vis = encode_visible(Tensor(tokens), masks, backbone)
+            dec = decode_full(z_vis, masks, decoder)
+            loss = masked_mse(dec, target, hidden)
+            singles = []
+            for i in range(3):
+                z_i = encode_visible(Tensor(tokens[i]), masks[i], backbone)
+                dec_i = decode_full(z_i, masks[i], decoder)
+                assert np.array_equal(z_vis.data[i], z_i.data)
+                assert np.array_equal(dec.data[i], dec_i.data)
+                singles.append(float(masked_mse(dec_i, target[i], hidden[i]).data))
+    assert z_vis.shape == (3, 2, 8) and dec.shape == (3, 4, 8)
+    assert float(loss.data) == pytest.approx(np.mean(singles), rel=1e-12)
 
 
 def test_masked_view_representation_composition(rng):
@@ -362,6 +384,27 @@ def test_lof_stacked_matches_per_sample_composition(rng):
         assert float(loss.data) == pytest.approx(expect, rel=1e-8)
 
 
+def test_lof_loss_grads_match_finite_differences(rng):
+    from conftest import assert_grads_close, central_diff
+
+    with use_dtype(np.float64):
+        backbone, decoder = tiny_model()
+        x = rng.normal(size=(2, 2, 32))
+        masks = [sample_masks(4, MaskConfig(0.5, 2, rng_seed=j)) for j in range(2)]
+        cfg = TCRConfig(lam=10.0)
+
+        def value():
+            loss, _ = lof_loss(Tensor(x), backbone, decoder, MaskConfig(0.5, 2), cfg,
+                               masks=masks, training=False)
+            return loss
+
+        value().backward()
+        weight = backbone.named_params()["encoder.block0.attn.wv.weight"]
+        for label, param in (("mask_token", decoder.mask_token), ("encoder wv", weight)):
+            fd = central_diff(lambda: float(value().data), param.data, step=1e-6)
+            assert_grads_close(param.grad, fd, rtol=1e-5, atol=1e-8, label=label)
+
+
 def test_lof_lambda_target_switch(rng):
     with use_dtype(np.float64):
         backbone, decoder = tiny_model()
@@ -453,3 +496,34 @@ def test_mae_recon_matches_loop_oracle(rng):
                 total += ((recon[hidden] - target[hidden]) ** 2).sum()
                 count += hidden.size * 8
         assert float(loss.data) == pytest.approx(total / count, rel=1e-6)
+
+
+def test_mae_recon_grads_match_finite_differences(rng):
+    from conftest import assert_grads_close, central_diff
+
+    with use_dtype(np.float64):
+        backbone, decoder = tiny_model(with_recon_head=True)
+        x = rng.normal(size=(3, 2, 32))
+        masks = list(sample_masks(4, MaskConfig(0.5, 3, rng_seed=2)).masks)
+
+        def value():
+            return mae_recon_loss(Tensor(x), backbone, decoder, MaskConfig(0.5, 1),
+                                  masks=masks, training=False)
+
+        value().backward()
+        recon_weight = decoder.named_params()["recon.weight"]
+        for label, param in (("mask_token", decoder.mask_token), ("recon.weight", recon_weight)):
+            fd = central_diff(lambda: float(value().data), param.data, step=1e-6)
+            assert_grads_close(param.grad, fd, rtol=1e-5, atol=1e-8, label=label)
+
+
+def test_stacked_masks_hiding_different_counts_name_the_mask(rng):
+    backbone, decoder = tiny_model(with_recon_head=True)
+    x = Tensor(rng.normal(size=(3, 2, 32)).astype(np.float32))
+    masks = [np.array([True, False, True, False]), np.array([False, True, True, False]),
+             np.array([True, False, False, False])]
+    with pytest.raises(ShapeError, match="mask 2 hides 1"):
+        mae_recon_loss(x, backbone, decoder, MaskConfig(0.8, 1), masks=masks)
+    tokens = Tensor(rng.normal(size=(3, 4, 8)).astype(np.float32))
+    with pytest.raises(ShapeError, match="mask 2"):
+        encode_visible(tokens, np.stack(masks), backbone)
