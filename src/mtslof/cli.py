@@ -415,13 +415,12 @@ def cmd_ablate(cfg: dict, args) -> int:
             if (n, r) not in grid:
                 grid.append((n, r))
     seeds = cfg["seeds"]
-    spec = _split_spec(cfg)
+    patcher, encoder, _, tcrcfg, optcfg = _configs_from(cfg, ds.channels)
+    train, val, test, _ = prepare_splits(ds, _split_spec(cfg))
 
     def run_point(point: tuple[int, float]):
         n_masks, ratio = point
-        patcher, encoder, _, tcrcfg, optcfg = _configs_from(cfg, ds.channels)
         maskcfg = MaskConfig(ratio=ratio, count=n_masks)
-        train, val, test, _ = prepare_splits(ds, spec)
         accs, f1s = [], []
         for seed in seeds:
             backbone, decoder = build_model(patcher, encoder, ds.class_count,

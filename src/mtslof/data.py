@@ -41,6 +41,10 @@ class Dataset:
             raise ConfigError(f"labels shape {self.labels.shape} does not match n={self.samples.shape[0]}")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise ConfigError(f"labels must lie in [0, {self.class_count})")
+        if not np.isfinite(self.samples).all():
+            i, c, t = np.argwhere(~np.isfinite(self.samples))[0]
+            raise DataFormatError(f"non-finite value {self.samples[i, c, t]} at sample {i}, "
+                                  f"channel {c}, time {t}")
 
     @property
     def n(self) -> int:

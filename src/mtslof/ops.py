@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import erf
 
 from .errors import (
     DegenerateBatchError,
@@ -127,9 +126,85 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _from_op(data, (x, weight, bias), backward)
 
 
+# erf(x) = x P(x^2) / Q(x^2) on [-4, 4], the float32 minimax rational of
+# Eigen and XLA; beyond 4, erf rounds to +-1 in float32.
+_ERF32_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+    -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02))
+_ERF32_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+    -1.42647390514189e-02))
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| < 1 and
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8; beyond 8, erf is +-1 in float64.
+_ERF64_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+            7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF64_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+            2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC64_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+             4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+             9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC64_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+             9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+             1.65666309194161350182e3, 5.57535340817727675546e2)
+# Elements per block of normal_cdf: a float32 block and its temporaries stay in L2.
+_CDF_BLOCK = 1 << 15
+
+
+def _polyval(x: np.ndarray, coeffs) -> np.ndarray:
+    """Horner's rule with in-place ufuncs: coeffs[0] * x**n + ... + coeffs[n]."""
+    out = x * coeffs[0]
+    for c in coeffs[1:-1]:
+        out += c
+        out *= x
+    out += coeffs[-1]
+    return out
+
+
+def _erf32(t: np.ndarray) -> None:
+    """t <- erf(t) in place, for float32 t."""
+    np.clip(t, -4.0, 4.0, out=t)
+    t2 = t * t
+    num = _polyval(t2, _ERF32_P)
+    num *= t
+    np.divide(num, _polyval(t2, _ERF32_Q), out=t)
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """Elementwise float64 erf to within 1e-15 absolute (Cephes)."""
+    x = np.asarray(x, dtype=np.float64)
+    a = np.abs(x)
+    inner = a < 1.0
+    z = np.minimum(a, 1.0)
+    z *= z
+    small = x * _polyval(z, _ERF64_T) / _polyval(z, _ERF64_U)
+    a = np.clip(a, 1.0, 8.0)
+    erfc = np.exp(-a * a) * _polyval(a, _ERFC64_P) / _polyval(a, _ERFC64_Q)
+    return np.where(inner, small, np.copysign(1.0 - erfc, x))
+
+
+def normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = (1 + erf(x / sqrt 2)) / 2, elementwise.
+
+    float32 input is evaluated in float32 with the rational above, block by
+    block over the flattened array; any other input is evaluated with the
+    float64 `erf`. Each output element depends on its input element alone.
+    """
+    if x.dtype != np.float32:
+        return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    flat = np.ravel(x)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _CDF_BLOCK):
+        block = out[start:start + _CDF_BLOCK]
+        np.multiply(flat[start:start + _CDF_BLOCK], _INV_SQRT2, out=block)
+        _erf32(block)
+        block += 1.0
+        block *= 0.5
+    return out.reshape(x.shape)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x)."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = normal_cdf(x.data)
     data = x.data * cdf
     if not _tracking(x):
         return _const(data)

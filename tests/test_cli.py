@@ -1,10 +1,13 @@
 """End-to-end CLI tests running main() in process."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mtslof
 from mtslof.cli import main
 from mtslof.data import load_dataset
 
@@ -250,6 +253,32 @@ def test_ablate_grid_rows_and_dedup(workdir, tmp_path):
     assert lines[2].startswith("2,0.8,")
 
 
+def test_ablate_unusable_architecture_fails_once_without_csv(workdir, tmp_path, capsys):
+    out = tmp_path / "abl_bad.csv"
+    code = main(["ablate", "--data", workdir["data"], "--out", str(out),
+                 "--seed", "2019", "--epochs", "1",
+                 "--mask-counts", "1,2", "--mask-ratios", "0.5,0.8", *TINY, "--heads", "3"])
+    assert code != 0
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("not divisible by heads 3") == 1
+    assert "grid point" not in err
+
+
+def test_ablate_infeasible_mask_count_fails_only_its_point(workdir, tmp_path, capsys):
+    out = str(tmp_path / "abl_point.csv")
+    code = main(["ablate", "--data", workdir["data"], "--out", out,
+                 "--seed", "2019", "--epochs", "1",
+                 "--mask-counts", "1,100000", "--mask-ratios", "0.8", *TINY])
+    assert code == 0
+    lines = open(out).read().splitlines()
+    assert len(lines) == 3
+    assert "nan" not in lines[1]
+    assert lines[2] == "100000,0.8,nan,nan"
+    err = capsys.readouterr().err
+    assert err.count("grid point") == 1 and "(100000, 0.8) failed" in err
+
+
 def test_repeat_run_byte_identical_csvs(workdir, tmp_path):
     outs = []
     for name in ("r1", "r2"):
@@ -268,3 +297,30 @@ def test_missing_dataset_file_nonzero_exit(tmp_path, capsys):
                  "--checkpoint", str(tmp_path / "x.ckpt"),
                  "--out", str(tmp_path / "x.csv"), "--seed", "2019", *TINY])
     assert code != 0
+
+
+# Runs CLI commands in a fresh interpreter where any scipy import fails.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from mtslof.cli import main
+root, tiny = sys.argv[1], ["--seed", "2019", *sys.argv[2:]]
+data, ckpt = root + "/d.bin", root + "/c.ckpt"
+for argv in (["gen-data", "--out", data, "--samples-per-class", "6", "--length", "32"],
+             ["pretrain", "--data", data, "--checkpoint", ckpt, "--out", root + "/h.csv",
+              "--epochs", "0", *tiny],
+             ["export-embeddings", "--data", data, "--checkpoint", ckpt,
+              "--out", root + "/e.csv", *tiny]):
+    print("exit", argv[0], main(argv))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(mtslof.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path), *TINY],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    exits = [line for line in proc.stdout.splitlines() if line.startswith("exit ")]
+    assert exits == ["exit gen-data 0", "exit pretrain 0", "exit export-embeddings 0"], proc.stderr

@@ -133,6 +133,14 @@ def test_load_non_finite_value_names_sample_channel_time_and_offset(tmp_path):
     assert info.value.offset == offset
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_code_built_dataset_rejects_non_finite_naming_sample_channel_time(bad):
+    samples = np.zeros((3, 2, 8), dtype=np.float32)
+    samples[2, 1, 5] = bad
+    with pytest.raises(DataFormatError, match="sample 2, channel 1, time 5"):
+        Dataset(samples, np.zeros(3, dtype=np.int64), 1)
+
+
 def test_single_sample_file_loads_but_split_fails(tmp_path):
     ds = Dataset(np.zeros((1, 2, 8), dtype=np.float32), np.zeros(1, dtype=np.int64), 1)
     path = str(tmp_path / "one.bin")

@@ -178,6 +178,29 @@ def test_gelu_grad_at_half():
         assert_grads_close(x.grad, fd, rtol=1e-6, label="gelu@0.5")
 
 
+def test_normal_cdf_float32_within_4e7_of_float64_erf():
+    x = np.linspace(-10.0, 10.0, 2_000_001, dtype=np.float32)
+    phi = ops.normal_cdf(x)
+    assert phi.dtype == np.float32
+    expect = 0.5 * (1.0 + erf(x.astype(np.float64) / np.sqrt(2.0)))
+    assert np.abs(phi - expect).max() <= 4e-7
+
+
+def test_erf_float64_within_1e15_of_scipy_tails_included():
+    branch_edges = np.array([-8.0, -1.0, 0.0, 1.0, 8.0])
+    x = np.concatenate([np.linspace(-12.0, 12.0, 2_400_001), branch_edges,
+                        np.nextafter(branch_edges, np.inf), np.nextafter(branch_edges, -np.inf)])
+    assert np.abs(ops.erf(x) - erf(x)).max() <= 1e-15
+
+
+def test_gelu_float32_blocks_bit_equal_to_elements_alone(rng):
+    x = (3.0 * rng.normal(size=3 * 2**15 + 7)).astype(np.float32)
+    out = ops.gelu(Tensor(x)).data
+    assert out.dtype == np.float32
+    alone = np.concatenate([ops.gelu(Tensor(x[i:i + 1])).data for i in range(x.size)])
+    assert np.array_equal(out.view(np.uint32), alone.view(np.uint32))
+
+
 # -- softmax ------------------------------------------------------------
 
 
