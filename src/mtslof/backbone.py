@@ -10,7 +10,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, InputTooShortError
-from .tensor import Tensor, as_tensor, parameter, reshape, swapaxes, transpose
+from .tensor import Tensor, as_tensor, parameter, reshape, swapaxes
 
 
 @dataclass
@@ -110,13 +110,6 @@ class Linear:
         self.bias = parameter(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        from .tensor import grad_enabled
-
-        if x.data.ndim > 2 and (not grad_enabled() or not self.weight.requires_grad):
-            # Per-slice batched matmul keeps GEMM shapes independent of the
-            # batch size, so eval outputs are bitwise batch-invariant.
-            return x @ transpose(self.weight) + self.bias
-        # Training path: leading axes flattened into one large GEMM.
         return ops.linear(x, self.weight, self.bias)
 
     def named_tensors(self, prefix: str) -> dict[str, Tensor]:

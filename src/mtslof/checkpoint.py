@@ -64,7 +64,11 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
             raise DataFormatError("manifest truncated", offset=off)
         (name_len,) = struct.unpack_from("<H", blob, off)
         off += 2
-        name = blob[off : off + name_len].decode("utf-8")
+        try:
+            name = blob[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"tensor name is not valid UTF-8: {exc.reason}",
+                                  offset=off + exc.start) from exc
         off += name_len
         if off + 2 > len(blob):
             raise DataFormatError(f"manifest truncated after name {name!r}", offset=off)
@@ -72,6 +76,8 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         off += 2
         if code not in _DTYPE_CODES:
             raise DataFormatError(f"unknown dtype code {code} for {name!r}", offset=off - 2)
+        if off + 4 * rank > len(blob):
+            raise DataFormatError(f"manifest truncated in the shape of {name!r}", offset=off)
         shape = struct.unpack_from(f"<{rank}I", blob, off)
         off += 4 * rank
         entries.append((name, _DTYPE_CODES[code], shape))
@@ -83,6 +89,10 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         if off + nbytes > len(blob):
             raise DataFormatError(f"payload truncated for {name!r}", offset=off)
         arr = np.frombuffer(blob, dtype=dtype, count=count_items, offset=off).reshape(shape)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise DataFormatError(f"tensor {name!r} holds a non-finite value at element "
+                                  f"{bad[0]} of its payload", offset=off)
         out[name] = arr.astype(dtype.newbyteorder("=")).copy()
         off += nbytes
     if off != len(blob):

@@ -70,6 +70,14 @@ def _parse_float_list(s: str) -> list[float]:
     return [float(v) for v in str(s).split(",") if v.strip() != ""]
 
 
+def _parse_key(key: str, parser, value: str):
+    """parser(value), failing with a ConfigError that names the key."""
+    try:
+        return parser(value)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"bad value for {key}: {exc}") from exc
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -192,8 +200,7 @@ def resolve_config(config_path: str | None, args: argparse.Namespace) -> dict:
         value = getattr(args, flag, None)
         if value is None:
             continue
-        parser = SCHEMA[key][1]
-        cfg[key] = parser(value) if isinstance(value, str) else value
+        cfg[key] = _parse_key(key, SCHEMA[key][1], value) if isinstance(value, str) else value
     return cfg
 
 
@@ -226,7 +233,7 @@ def _configs_from(cfg: dict, input_channels: int) -> tuple[PatcherConfig, Encode
     if widths == "auto":
         widths = (32, 64, 128, cfg["d_model"])
     else:
-        widths = tuple(_parse_int_list(widths))
+        widths = tuple(_parse_key("channel_widths", _parse_int_list, widths))
     patcher = PatcherConfig(first_kernel=cfg["first_kernel"], first_stride=cfg["first_stride"],
                             channel_widths=widths, input_channels=input_channels)
     encoder = EncoderConfig(model_dim=cfg["d_model"], heads=cfg["heads"], depth=cfg["depth"],

@@ -33,6 +33,37 @@ _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
+# Rows per GEMM in _gemm_blocks. One row of a BLAS GEMM result depends on
+# the GEMM's row count (gemv, small-matrix or blocked kernel), not on where
+# the row sits in it.
+_GEMM_ROWS = 256
+
+
+def _gemm_blocks(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(n, r, ...) @ (K, N) -> (n, r, N) in GEMMs of exactly max(1, 256 // r) items.
+
+    Each item's trailing axes are flattened to K and the last block is
+    zero-padded, so no GEMM's shape depends on n and an item's rows are the
+    same bits in any batch. A contiguous `a` takes its full blocks in one
+    batched matmul (a GEMM per block); a strided one is copied block by block.
+    """
+    n, r = a.shape[:2]
+    k, cols = w.shape
+    m = max(1, _GEMM_ROWS // r)
+    out = np.empty((n, r, cols), dtype=np.result_type(a, w))
+    full = n - n % m
+    step = max(full, m) if a.flags.c_contiguous else m
+    for start in range(0, full, step):
+        stop = start + step
+        np.matmul(a[start:stop].reshape(-1, m * r, k), w,
+                  out=out[start:stop].reshape(-1, m * r, cols))
+    if full < n:
+        block = np.zeros((m,) + a.shape[1:], dtype=a.dtype)
+        block[:n - full] = a[full:]
+        out[full:] = (block.reshape(m * r, k) @ w).reshape(m, r, cols)[:n - full]
+    return out
+
+
 def conv_output_length(t: int, kernel: int, stride: int, padding: int) -> int:
     return (t + 2 * padding - kernel) // stride + 1
 
@@ -59,32 +90,25 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     xp = np.pad(xv.data, ((0, 0), (0, 0), (padding, padding)))
     s0, s1, s2 = xp.strides
-    windows = as_strided(xp, shape=(b, c_in, t_out, k), strides=(s0, s1, s2 * stride, s2))
+    windows = as_strided(xp, shape=(b, t_out, c_in, k), strides=(s0, s2 * stride, s1, s2))
     wmat = weight.data.reshape(c_out, c_in * k)
 
     parents = (xv, weight) if bias is None else (xv, weight, bias)
-    if not _tracking(*parents):
-        # Per-sample GEMMs keep shapes independent of batch size, so
-        # eval-mode outputs are bitwise identical across batch compositions.
-        data = np.empty((b, c_out, t_out), dtype=np.result_type(xv.data, weight.data))
-        for i in range(b):
-            cols_i = np.ascontiguousarray(windows[i].transpose(1, 0, 2)).reshape(t_out, c_in * k)
-            data[i] = (cols_i @ wmat.T).T
-        if bias is not None:
-            data = data + bias.data[:, None]
-        out = _const(data)
-        return reshape(out, data.shape[1:]) if squeeze else out
-
-    # im2col: one GEMM of (b*t_out, c_in*k) @ (c_in*k, c_out)
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(b * t_out, c_in * k)
-    data = (cols @ wmat.T).reshape(b, t_out, c_out).transpose(0, 2, 1)
+    tracking = _tracking(*parents)
+    # im2col: backward needs the whole (b, t_out, c_in*k) matrix; without a
+    # graph, _gemm_blocks copies the windows one block at a time.
+    cols = np.ascontiguousarray(windows).reshape(b, t_out, c_in * k) if tracking else windows
+    data = _gemm_blocks(cols, wmat.T).transpose(0, 2, 1)
     if bias is not None:
         data = data + bias.data[:, None]
+    if not tracking:
+        out = _const(data)
+        return reshape(out, data.shape[1:]) if squeeze else out
 
     def backward(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(b * t_out, c_out)
         if weight.requires_grad:
-            accumulate(weight, (gmat.T @ cols).reshape(c_out, c_in, k))
+            accumulate(weight, (gmat.T @ cols.reshape(b * t_out, c_in * k)).reshape(c_out, c_in, k))
         if bias is not None and bias.requires_grad:
             accumulate(bias, g.sum(axis=(0, 2)))
         if xv.requires_grad:
@@ -101,7 +125,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """x @ weight.T + bias with every leading axis of x flattened into one GEMM.
+    """x @ weight.T + bias over the rows of x, every leading axis flattened.
 
     x is (..., d_in), weight is (d_out, d_in) and bias is (d_out,).
     """
@@ -110,7 +134,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if x.data.shape[-1:] != (d_in,):
         raise ShapeError(f"linear input {x.data.shape} does not match weight {weight.data.shape}")
     x2 = x.data.reshape(-1, d_in)
-    data = (x2 @ weight.data.T + bias.data).reshape(lead + (d_out,))
+    data = (_gemm_blocks(x2[:, None], weight.data.T)[:, 0] + bias.data).reshape(lead + (d_out,))
     if not _tracking(x, weight, bias):
         return _const(data)
 

@@ -28,7 +28,6 @@ class OptimConfig:
     eps: float = 1e-8
     epochs: int = 40
     batch_size: int = 128
-    exclude_norm_and_mask_from_decay: bool = True
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -46,7 +45,7 @@ class AdamW:
     """Decoupled weight decay followed by a bias-corrected Adam update.
 
     The learning rate is constant; norm scales/shifts and the mask token
-    are excluded from decay when the config flag is set.
+    are excluded from decay.
     """
 
     def __init__(self, params: dict[str, Tensor], cfg: OptimConfig):
@@ -61,8 +60,6 @@ class AdamW:
             p.grad = None
 
     def _decays(self, name: str) -> bool:
-        if not self.cfg.exclude_norm_and_mask_from_decay:
-            return True
         return name.rsplit(".", 1)[-1] not in _NO_DECAY_LEAF
 
     def step(self) -> None:

@@ -55,6 +55,39 @@ def test_trailing_bytes_rejected(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_name_not_utf8_rejected_with_offset(tmp_path):
+    path = tmp_path / "n.ckpt"
+    save_checkpoint(str(path), {"ab": np.ones(2, dtype=np.float32)})
+    blob = bytearray(path.read_bytes())
+    blob[15] = 0xFF  # second byte of the name: 8 magic, 4 count, 2 name length
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match="UTF-8") as info:
+        load_checkpoint(str(path))
+    assert info.value.offset == 15
+
+
+def test_manifest_cut_inside_shape_rejected_with_offset(tmp_path):
+    path = tmp_path / "s.ckpt"
+    save_checkpoint(str(path), {"w": np.ones((4, 4), dtype=np.float32)})
+    # The extents start at 17: 8 magic, 4 count, 2 name length, 1 name, dtype, rank.
+    path.write_bytes(path.read_bytes()[:21])
+    with pytest.raises(DataFormatError, match="shape of 'w'") as info:
+        load_checkpoint(str(path))
+    assert info.value.offset == 17
+
+
+def test_non_finite_tensor_rejected_naming_it_and_its_payload(tmp_path):
+    weight = np.ones((2, 3), dtype=np.float32)
+    weight[1, 0] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(str(path), {"patcher.conv1.bias": np.zeros(2, dtype=np.float32),
+                                "patcher.conv1.weight": weight})
+    payload = path.stat().st_size - weight.nbytes
+    with pytest.raises(DataFormatError, match=r"'patcher.conv1.weight'.*element 3") as info:
+        load_checkpoint(str(path))
+    assert info.value.offset == payload
+
+
 def test_apply_state_shape_mismatch_names_tensor():
     target = parameter(np.zeros((2, 3)))
     with pytest.raises(CheckpointMismatchError, match="head.weight"):

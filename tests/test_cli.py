@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mtslof
+from mtslof.checkpoint import load_checkpoint, save_checkpoint
 from mtslof.cli import main
 from mtslof.data import load_dataset
 
@@ -238,6 +239,37 @@ def test_export_embeddings_rows_and_determinism(workdir, tmp_path):
     assert lines[0].startswith("index,label,e0")
     assert len(lines) == 1 + 36
     assert open(a).read() == open(b).read()
+
+
+def test_export_embeddings_rejects_non_finite_checkpoint(workdir, tmp_path, capsys):
+    state = load_checkpoint(workdir["ckpt"])
+    state["backbone.patcher.conv1.weight"].flat[0] = np.nan
+    ckpt = str(tmp_path / "nan.ckpt")
+    save_checkpoint(ckpt, state)
+    out = str(tmp_path / "emb.csv")
+    code = main(["export-embeddings", "--data", workdir["data"], "--checkpoint", ckpt,
+                 "--out", out, *TINY])
+    assert code == 1
+    assert "error: tensor 'backbone.patcher.conv1.weight' holds a non-finite value" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_malformed_list_values_rejected_naming_the_key(workdir, tmp_path, capsys):
+    cfg = tmp_path / "widths.cfg"
+    cfg.write_text("channel_widths=4,x,4,8\n")
+    out = str(tmp_path / "x.csv")
+    pre = ["pretrain", "--data", workdir["data"], "--checkpoint", str(tmp_path / "x.ckpt"),
+           "--out", out, "--epochs", "0"]
+    cases = [
+        (pre + ["--seed", "a"], "seeds"),
+        (pre + ["--channel-widths", "32,x,128,32"], "channel_widths"),
+        (pre + ["--config", str(cfg)], "channel_widths"),
+        (["ablate", "--data", workdir["data"], "--out", out, "--mask-counts", "1,x"], "mask_counts"),
+    ]
+    for argv, key in cases:
+        assert main(argv) == 1, argv
+        assert f"error: bad value for {key}: " in capsys.readouterr().err, argv
+        assert not os.path.exists(out)
 
 
 def test_ablate_grid_rows_and_dedup(workdir, tmp_path):

@@ -1,5 +1,7 @@
 """Neural-op tests: forward oracles and finite-difference gradient checks."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from mtslof.errors import (
     NotPositiveDefiniteError,
     ShapeError,
 )
-from mtslof.tensor import Tensor, parameter, use_dtype
+from mtslof.tensor import Tensor, no_grad, parameter, use_dtype
 
 
 # -- conv1d -------------------------------------------------------------
@@ -82,6 +84,24 @@ def test_conv1d_length_formula_property(t, k, s, pad):
     w = Tensor(np.zeros((1, 1, k), dtype=np.float32))
     out = ops.conv1d(x, w, stride=s, padding=pad)
     assert out.shape == (1, t_out)
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "grad"])
+def test_linear_and_conv1d_rows_bit_equal_to_items_run_alone(rng, grad):
+    # The batches cross a 256-row GEMM block without filling the last one.
+    weight, bias = parameter(rng.normal(size=(24, 16))), parameter(rng.normal(size=24))
+    conv_w, conv_b = parameter(rng.normal(size=(6, 3, 8))), parameter(rng.normal(size=6))
+    with contextlib.nullcontext() if grad else no_grad():
+        for n in (1, 2, 300):
+            x = rng.normal(size=(n, 16)).astype(np.float32)
+            rows = ops.linear(Tensor(x), weight, bias).data
+            alone = np.stack([ops.linear(Tensor(x[i]), weight, bias).data for i in range(n)])
+            assert np.array_equal(rows, alone), f"linear, {n} rows"
+        xs = rng.normal(size=(10, 3, 129)).astype(np.float32)
+        rows = ops.conv1d(Tensor(xs), conv_w, conv_b, stride=2, padding=3).data
+        alone = np.stack([ops.conv1d(Tensor(xs[i]), conv_w, conv_b, stride=2, padding=3).data
+                          for i in range(10)])
+        assert np.array_equal(rows, alone), "conv1d"
 
 
 # -- batchnorm ----------------------------------------------------------
