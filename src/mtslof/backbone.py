@@ -344,9 +344,6 @@ class Backbone:
     def classify(self, z: Tensor) -> Tensor:
         return self.head(z)
 
-    def predict(self, x: Tensor) -> Tensor:
-        return self.classify(self.represent(x))
-
     # -- state ----------------------------------------------------------
 
     def named_params(self) -> dict[str, Tensor]:

@@ -8,12 +8,11 @@ the raw little-endian tensor payloads in manifest order. Dtype codes:
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 
 import numpy as np
 
+from .data import _atomic_write
 from .errors import CheckpointMismatchError, DataFormatError
 
 MAGIC = b"MTSLOF01"
@@ -35,18 +34,7 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
         manifest += struct.pack("<BB", code, arr.ndim)
         manifest += struct.pack(f"<{arr.ndim}I", *arr.shape)
         payload += arr.astype(_DTYPE_CODES[code]).tobytes()
-    blob = MAGIC + struct.pack("<I", len(tensors)) + bytes(manifest) + bytes(payload)
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, MAGIC + struct.pack("<I", len(tensors)) + bytes(manifest) + bytes(payload))
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:

@@ -33,13 +33,13 @@ from .data import (
 )
 from .errors import CheckpointMismatchError, ConfigError, MtslofError
 from .objective import MaskConfig, TCRConfig
-from .tensor import Tensor, no_grad
 from .training import (
     OptimConfig,
     TrainRun,
     build_model,
     check_input_shape,
     checkpoint_norm_stats,
+    compute_representations,
     evaluate,
     finetune,
     history_csv,
@@ -138,44 +138,6 @@ SCHEMA: dict[str, tuple] = {
     "mask_ratios": ([0.8], _parse_float_list, "ablation grid of mask ratios"),
 }
 
-# flag name -> config key, for flags that override configuration
-FLAG_KEYS = {
-    "seed": "seeds",
-    "epochs": "epochs",
-    "batch_size": "batch_size",
-    "lr": "lr",
-    "weight_decay": "weight_decay",
-    "mask_ratio": "mask_ratio",
-    "num_masks": "num_masks",
-    "lam": "lambda",
-    "lambda_target": "lambda_target",
-    "epsilon": "epsilon",
-    "tcr_weight": "tcr_weight",
-    "d_model": "d_model",
-    "heads": "heads",
-    "depth": "depth",
-    "ffn_multiplier": "ffn_multiplier",
-    "dropout": "dropout",
-    "decoder_depth": "decoder_depth",
-    "fraction": "fraction",
-    "classes": "classes",
-    "channels": "channels",
-    "length": "length",
-    "samples_per_class": "samples_per_class",
-    "noise_std": "noise_std",
-    "phase_jitter": "phase_jitter",
-    "data_seed": "data_seed",
-    "signature_seed": "signature_seed",
-    "first_kernel": "first_kernel",
-    "first_stride": "first_stride",
-    "channel_widths": "channel_widths",
-    "split_seed": "split_seed",
-    "split": "eval_split",
-    "mask_counts": "mask_counts",
-    "mask_ratios": "mask_ratios",
-}
-
-
 def resolve_config(config_path: str | None, args: argparse.Namespace) -> dict:
     """defaults <- config file <- flags; unknown keys are rejected."""
     cfg = {key: default for key, (default, _, _) in SCHEMA.items()}
@@ -196,11 +158,16 @@ def resolve_config(config_path: str | None, args: argparse.Namespace) -> dict:
                     cfg[key] = parser(value.strip())
                 except (ValueError, ConfigError) as exc:
                     raise ConfigError(f"{config_path}:{lineno}: bad value for {key}: {exc}") from exc
-    for flag, key in FLAG_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        cfg[key] = _parse_key(key, SCHEMA[key][1], value) if isinstance(value, str) else value
+    for key, (_, parser, _) in SCHEMA.items():
+        value = getattr(args, key, None)
+        if value is not None:
+            cfg[key] = _parse_key(key, parser, value) if isinstance(value, str) else value
+        if parser in (float, _parse_float_list):
+            values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"bad value for {key}: {_fmt(cfg[key])} is not finite")
+    if not cfg["seeds"]:
+        raise ConfigError("bad value for seeds: the seed list is empty")
     return cfg
 
 
@@ -297,7 +264,7 @@ def _summary_csv(rows: list[tuple[int, float, float]]) -> str:
 def cmd_gen_data(cfg: dict, args) -> int:
     sig_seed = None if cfg["signature_seed"] < 0 else cfg["signature_seed"]
     data_seed = cfg["data_seed"]
-    if getattr(args, "data_seed", None) is None and getattr(args, "seed", None) is not None:
+    if args.data_seed is None and args.seeds is not None:
         data_seed = cfg["seeds"][0]
     syn = SyntheticConfig(class_count=cfg["classes"], channels=cfg["channels"],
                           length=cfg["length"], samples_per_class=cfg["samples_per_class"],
@@ -401,14 +368,9 @@ def cmd_export_embeddings(cfg: dict, args) -> int:
                               include_head=True)
     d = encoder.model_dim
     lines = ["index,label," + ",".join(f"e{k}" for k in range(d))]
-    with no_grad():
-        for start in range(0, ds_n.n, 256):
-            x = Tensor(ds_n.samples[start : start + 256])
-            z = backbone.represent(x, training=False).data
-            for i, row in enumerate(z):
-                idx = start + i
-                values = ",".join(f"{v:.6f}" for v in row)
-                lines.append(f"{idx},{ds_n.labels[idx]},{values}")
+    for idx, row in enumerate(compute_representations(backbone, ds_n)):
+        values = ",".join(f"{v:.6f}" for v in row)
+        lines.append(f"{idx},{ds_n.labels[idx]},{values}")
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"rows={ds_n.n} dim={d}")
     return 0
@@ -466,14 +428,14 @@ def _add_common(sub: argparse.ArgumentParser, *, data=False, checkpoint=False,
     if save_checkpoint:
         sub.add_argument("--save-checkpoint", dest="save_checkpoint",
                          help="write the post-run model state here")
-    sub.add_argument("--seed", help="comma list of seeds")
+    sub.add_argument("--seed", dest="seeds", metavar="SEED", help="comma list of seeds")
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--batch-size", dest="batch_size", type=int)
     sub.add_argument("--lr", type=float)
     sub.add_argument("--weight-decay", dest="weight_decay", type=float)
     sub.add_argument("--mask-ratio", dest="mask_ratio", type=float)
     sub.add_argument("--num-masks", dest="num_masks", type=int)
-    sub.add_argument("--lambda", dest="lam", type=float)
+    sub.add_argument("--lambda", dest="lambda", type=float)
     sub.add_argument("--lambda-target", dest="lambda_target")
     sub.add_argument("--epsilon", type=float)
     sub.add_argument("--tcr-weight", dest="tcr_weight", type=float)
@@ -528,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = subs.add_parser("eval", help="evaluate a checkpoint on a split")
     _add_common(ev, data=True, checkpoint=True)
     ev.add_argument("--out", help="optional metrics CSV path")
-    ev.add_argument("--split", choices=("train", "val", "test"))
+    ev.add_argument("--split", dest="eval_split", choices=("train", "val", "test"))
     ev.set_defaults(func=cmd_eval)
 
     exp = subs.add_parser("export-embeddings", help="CSV of pooled representations")

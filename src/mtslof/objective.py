@@ -214,17 +214,17 @@ def masked_view_representation(x: Tensor, mask: np.ndarray, backbone: Backbone,
 # -- losses ---------------------------------------------------------------
 
 
-def sim_loss(z: Tensor, views) -> Tensor:
-    """Negative mean cosine similarity between z and each view."""
-    views = list(views)
-    if not views:
-        raise ConfigError("sim_loss needs at least one view")
-    zn = ops.l2_normalize(z)
-    total = None
-    for view in views:
-        dot = (zn * ops.l2_normalize(view)).sum()
-        total = dot if total is None else total + dot
-    return total * (-1.0 / len(views))
+def _cosine(zn: Tensor, vn: Tensor) -> Tensor:
+    """Cosines of unit rows: (..., d) against (..., n, d) gives (..., n)."""
+    return (reshape(zn, zn.data.shape[:-1] + (1, zn.data.shape[-1])) * vn).sum(axis=-1)
+
+
+def sim_loss(z: Tensor, views: Tensor) -> Tensor:
+    """Negative mean cosine similarity between z (..., d) and its views (..., n, d)."""
+    if views.data.ndim != z.data.ndim + 1 or views.data.shape[-2] == 0:
+        raise ShapeError(f"sim_loss needs views (..., n, d) with n >= 1 for z {z.data.shape}, "
+                         f"got {views.data.shape}")
+    return -_cosine(ops.l2_normalize(z), ops.l2_normalize(views)).mean()
 
 
 def _tcr_from_normalized(zn: Tensor, epsilon: float) -> Tensor:
@@ -233,22 +233,22 @@ def _tcr_from_normalized(zn: Tensor, epsilon: float) -> Tensor:
     Accepts (b, d) or a stack (N, b, d); returns a scalar (mean over the
     stack). The Gram matrix is d x d: I + (d / (b * eps^2)) Z^T Z.
     """
-    batched = zn.data.ndim == 3
+    if zn.data.ndim not in (2, 3):
+        raise ShapeError(f"the coding rate expects a (b, d) batch or an (N, b, d) stack, "
+                         f"got {zn.data.shape}")
+    if not np.isfinite(zn.data).all():
+        raise NumericError("the coding rate received non-finite representations")
     b = zn.data.shape[-2]
     d = zn.data.shape[-1]
     scale = d / (b * epsilon * epsilon)
     zt = swapaxes(zn, -1, -2)
     gram = zt @ zn * scale + as_tensor(np.eye(d, dtype=zn.data.dtype), zn)
     half_logdet = ops.logdet_psd(gram) * 0.5
-    return half_logdet.mean() if batched else half_logdet
+    return half_logdet.mean() if zn.data.ndim == 3 else half_logdet
 
 
 def tcr_loss(zbatch: Tensor, cfg: TCRConfig) -> Tensor:
-    """Total coding rate of a (b, d) batch of pooled representations."""
-    if zbatch.data.ndim != 2:
-        raise ShapeError(f"tcr_loss expects a (b, d) batch, got {zbatch.data.shape}")
-    if not np.isfinite(zbatch.data).all():
-        raise NumericError("tcr_loss received non-finite representations")
+    """Total coding rate of a (b, d) batch, or the mean over an (N, b, d) stack."""
     return _tcr_from_normalized(ops.l2_normalize(zbatch), cfg.epsilon)
 
 
@@ -296,13 +296,10 @@ def lof_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
     z_vis = encode_visible(tok_rep, mask_stack, backbone, training, rng)    # (b*n, v, d)
     views = ops.mean_pool(decode_full(z_vis, mask_stack, decoder, training, rng))  # (b*n, d)
 
-    zn_full = ops.l2_normalize(z_full)
+    # Both terms share the one normalized stack of views.
     zn_views = ops.l2_normalize(views)
-    cos = (reshape(zn_full, (b, 1, d)) * reshape(zn_views, (b, n, d))).sum(axis=-1)  # (b, n)
+    cos = _cosine(ops.l2_normalize(z_full), reshape(zn_views, (b, n, d)))  # (b, n)
     loss_sim = -cos.mean()
-
-    if not np.isfinite(views.data).all():
-        raise NumericError("lof_loss produced non-finite masked-view representations")
     loss_tcr = _tcr_from_normalized(swapaxes(reshape(zn_views, (b, n, d)), 0, 1), tcrcfg.epsilon)
 
     sim_weight = tcrcfg.lam if tcrcfg.lambda_target == "sim" else 1.0

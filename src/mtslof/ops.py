@@ -255,30 +255,42 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _from_op(data, (x,), backward)
 
 
-def normalize_moments(x: Tensor, axes, eps: float) -> Tensor:
-    """(x - mean) / sqrt(var + eps) over `axes`, differentiating through the stats."""
-    axes = tuple(ax % x.data.ndim for ax in axes)
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
+def _moments(x: np.ndarray, axes, eps: float):
+    """Mean, variance, inv = 1 / sqrt(var + eps) and x_hat = (x - mean) * inv
+    over `axes`; the reduced axes are kept with length one."""
+    mu = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    data = (x.data - mu) * inv
+    return mu, var, inv, (x - mu) * inv
+
+
+def _moments_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, axes) -> np.ndarray:
+    """Gradient at x of x_hat, through the moments: inv (g - mean g - x_hat mean(g x_hat))."""
+    gm = g.mean(axis=axes, keepdims=True)
+    gy = (g * xhat).mean(axis=axes, keepdims=True)
+    return inv * (g - gm - xhat * gy)
+
+
+def _standardize(x: Tensor, axes, eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """x_hat over `axes` as one graph node, with the mean and variance it used."""
+    mu, var, inv, xhat = _moments(x.data, axes, eps)
     if not _tracking(x):
-        return _const(data)
+        return _const(xhat), mu, var
 
     def backward(g):
-        gm = g.mean(axis=axes, keepdims=True)
-        gy = (g * data).mean(axis=axes, keepdims=True)
-        accumulate(x, inv * (g - gm - data * gy))
+        accumulate(x, _moments_backward(g, xhat, inv, axes))
 
-    return _from_op(data, (x,), backward)
+    return _from_op(xhat, (x,), backward), mu, var
+
+
+def normalize_moments(x: Tensor, axes, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) over `axes`, differentiating through the stats."""
+    return _standardize(x, tuple(ax % x.data.ndim for ax in axes), eps)[0]
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-slice normalization over the last (feature) axis with learnable scale/shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    _, _, inv, xhat = _moments(x.data, -1, eps)
     data = xhat * scale.data + shift.data
     if not _tracking(x, scale, shift):
         return _const(data)
@@ -289,10 +301,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
         if shift.requires_grad:
             accumulate(shift, unbroadcast(g, shift.data.shape))
         if x.requires_grad:
-            gh = g * scale.data
-            gm = gh.mean(axis=-1, keepdims=True)
-            gy = (gh * xhat).mean(axis=-1, keepdims=True)
-            accumulate(x, inv * (gh - gm - xhat * gy))
+            accumulate(x, _moments_backward(g * scale.data, xhat, inv, -1))
 
     return _from_op(data, (x, scale, shift), backward)
 
@@ -316,13 +325,11 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
             raise DegenerateBatchError(
                 f"batchnorm1d needs more than one value per channel in train mode, got batch {b} x time {t}"
             )
-        y = normalize_moments(xv, (0, 2), eps)
-        mu = xv.data.mean(axis=(0, 2))
-        var = xv.data.var(axis=(0, 2))
+        y, mu, var = _standardize(xv, (0, 2), eps)
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
+        running_mean += momentum * mu.reshape(c)
         running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_var += momentum * var.reshape(c)
     else:
         inv = (1.0 / np.sqrt(running_var + eps))[None, :, None]
         y = (xv - running_mean[None, :, None].astype(xv.data.dtype)) * inv.astype(xv.data.dtype)

@@ -9,62 +9,57 @@ backward pass its intermediates are freed and a second call raises
 
 float32 is the working precision for training. Finite-difference gradient
 checks are unreliable there, so construction and forward passes can be
-wrapped in ``with use_dtype(np.float64)`` for testing.
+wrapped in ``with use_dtype(np.float64)`` for testing. The flags that
+``use_dtype`` and ``no_grad`` set are process-wide.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
 from typing import Callable
 
 import numpy as np
 
 from .errors import GraphConsumedError, ShapeError
 
-
-class _ThreadState(threading.local):
-    """Per-thread engine flags so disjoint graphs can run concurrently."""
-
-    def __init__(self):
-        self.dtype = np.float32
-        self.grad_enabled = True
-
-
-_STATE = _ThreadState()
+# The dtype new tensors are created with, and whether operations record a graph.
+_dtype = np.float32
+_grad_enabled = True
 
 
 @contextlib.contextmanager
 def use_dtype(dtype):
-    """Temporarily change the dtype new tensors are created with (this thread)."""
-    prev = _STATE.dtype
-    _STATE.dtype = np.dtype(dtype).type
+    """Temporarily change the dtype new tensors are created with (process-wide)."""
+    global _dtype
+    prev = _dtype
+    _dtype = np.dtype(dtype).type
     try:
         yield
     finally:
-        _STATE.dtype = prev
+        _dtype = prev
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording on this thread; forwards run as plain numpy."""
-    prev = _STATE.grad_enabled
-    _STATE.grad_enabled = False
+    """Disable graph recording (process-wide); forwards run as plain numpy."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _STATE.grad_enabled = prev
+        _grad_enabled = prev
 
 
 def grad_enabled() -> bool:
-    return _STATE.grad_enabled
+    return _grad_enabled
 
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _STATE.dtype)
+        self.data = np.asarray(data, dtype=dtype or _dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -233,12 +228,12 @@ def _const(data: np.ndarray) -> Tensor:
 def as_tensor(x, like: Tensor | None = None) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    dtype = like.data.dtype if like is not None else _STATE.dtype
+    dtype = like.data.dtype if like is not None else _dtype
     return _const(np.asarray(x, dtype=dtype))
 
 
 def _tracking(*tensors: Tensor) -> bool:
-    return _STATE.grad_enabled and any(t.requires_grad for t in tensors)
+    return _grad_enabled and any(t.requires_grad for t in tensors)
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -566,4 +561,4 @@ def pick(a: Tensor, idx: np.ndarray) -> Tensor:
 
 def parameter(data, dtype=None) -> Tensor:
     """A leaf tensor that participates in optimization."""
-    return Tensor(np.array(data, dtype=dtype or _STATE.dtype), requires_grad=True)
+    return Tensor(np.array(data, dtype=dtype or _dtype), requires_grad=True)

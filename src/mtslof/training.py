@@ -117,35 +117,34 @@ def metrics_from_predictions(preds: np.ndarray, labels: np.ndarray, class_count:
     return Metrics(accuracy=accuracy, macro_f1=float(f1.mean()), per_class_f1=f1, confusion=confusion)
 
 
-def predict_labels(backbone: Backbone, ds: Dataset, batch_size: int = 256) -> np.ndarray:
+# Samples per forward in the graph-free representation pass. A sample's
+# row does not depend on it (every GEMM has a fixed shape).
+_EVAL_BATCH = 256
+
+
+def compute_representations(backbone: Backbone, ds: Dataset) -> np.ndarray:
+    """Eval-mode pooled representations for every sample, graph-free, in the
+    backbone's dtype."""
+    with no_grad():
+        parts = [backbone.represent(Tensor(ds.samples[start : start + _EVAL_BATCH])).data
+                 for start in range(0, ds.n, _EVAL_BATCH)]
+    if not parts:
+        return np.zeros((0, backbone.encoder_cfg.model_dim), dtype=backbone.head.weight.data.dtype)
+    return np.concatenate(parts)
+
+
+def predict_labels(backbone: Backbone, ds: Dataset) -> np.ndarray:
     """Argmax-logit predictions; numpy's argmax breaks ties toward the
     smallest class index."""
-    out = np.zeros(ds.n, dtype=np.int64)
+    z = compute_representations(backbone, ds)
     with no_grad():
-        for start in range(0, ds.n, batch_size):
-            x = Tensor(ds.samples[start : start + batch_size])
-            logits = backbone.predict(x)
-            out[start : start + x.data.shape[0]] = np.argmax(logits.data, axis=-1)
-    return out
+        return np.argmax(backbone.classify(Tensor(z, dtype=z.dtype)).data, axis=-1)
 
 
-def evaluate(backbone: Backbone, ds: Dataset, batch_size: int = 256) -> Metrics:
+def evaluate(backbone: Backbone, ds: Dataset) -> Metrics:
     if ds.n == 0:
         raise ConfigError("evaluate needs a nonempty split")
-    preds = predict_labels(backbone, ds, batch_size)
-    return metrics_from_predictions(preds, ds.labels, ds.class_count)
-
-
-def compute_representations(backbone: Backbone, ds: Dataset, batch_size: int = 256) -> np.ndarray:
-    """Eval-mode pooled representations for every sample, graph-free."""
-    d = backbone.encoder_cfg.model_dim
-    out = np.zeros((ds.n, d), dtype=np.float32)
-    with no_grad():
-        for start in range(0, ds.n, batch_size):
-            x = Tensor(ds.samples[start : start + batch_size])
-            z = backbone.represent(x, training=False)
-            out[start : start + x.data.shape[0]] = z.data
-    return out
+    return metrics_from_predictions(predict_labels(backbone, ds), ds.labels, ds.class_count)
 
 
 # -- run bookkeeping ---------------------------------------------------------

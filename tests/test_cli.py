@@ -272,6 +272,32 @@ def test_malformed_list_values_rejected_naming_the_key(workdir, tmp_path, capsys
         assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["pretrain", "export-embeddings"])
+def test_empty_seed_list_rejected(workdir, tmp_path, capsys, command):
+    out = str(tmp_path / "x.csv")
+    ckpt = str(tmp_path / "x.ckpt") if command == "pretrain" else workdir["ckpt"]
+    code = main([command, "--data", workdir["data"], "--checkpoint", ckpt,
+                 "--out", out, "--seed", ",", *TINY])
+    assert code == 1
+    assert "error: bad value for seeds: the seed list is empty" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag, key", [
+    ("--lr", "lr"), ("--weight-decay", "weight_decay"), ("--epsilon", "epsilon"),
+    ("--lambda", "lambda"), ("--tcr-weight", "tcr_weight"), ("--dropout", "dropout"),
+    ("--mask-ratio", "mask_ratio"),
+])
+def test_non_finite_hyperparameters_rejected(workdir, tmp_path, capsys, flag, key, value):
+    out = str(tmp_path / "x.csv")
+    code = main(["pretrain", "--data", workdir["data"], "--checkpoint", str(tmp_path / "x.ckpt"),
+                 "--out", out, "--epochs", "1", *TINY, flag, value])
+    assert code == 1
+    assert f"error: bad value for {key}: {value} is not finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_ablate_grid_rows_and_dedup(workdir, tmp_path):
     out = str(tmp_path / "abl.csv")
     code = main(["ablate", "--data", workdir["data"], "--out", out,

@@ -211,24 +211,24 @@ def test_all_visible_pipeline_equals_plain_encoder(rng):
 
 def test_sim_loss_self_views():
     z = Tensor(np.array([1.0, 2.0, 2.0]))
-    loss = sim_loss(z, [z, z, z])
+    loss = sim_loss(z, Tensor(np.stack([z.data] * 3)))
     assert float(loss.data) == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_sim_loss_orthogonal_view():
     z = Tensor(np.array([1.0, 0.0]))
     v = Tensor(np.array([0.0, 1.0]))
-    assert float(sim_loss(z, [v]).data) == pytest.approx(0.0, abs=1e-7)
+    assert float(sim_loss(z, Tensor(v.data[None])).data) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_sim_loss_opposite_views_cancel():
     z = Tensor(np.array([1.0, 1.0]))
-    assert float(sim_loss(z, [z, z * -1.0]).data) == pytest.approx(0.0, abs=1e-6)
+    assert float(sim_loss(z, Tensor(np.stack([z.data, (z * -1.0).data]))).data) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_sim_loss_bounded(rng):
     z = Tensor(rng.normal(size=6).astype(np.float32))
-    views = [Tensor(rng.normal(size=6).astype(np.float32)) for _ in range(5)]
+    views = Tensor(np.stack([rng.normal(size=6).astype(np.float32) for _ in range(5)]))
     value = float(sim_loss(z, views).data)
     assert -1.0 <= value <= 1.0
 
@@ -236,9 +236,19 @@ def test_sim_loss_bounded(rng):
 def test_sim_loss_minimum_iff_positive_multiples(rng):
     z = Tensor(np.array([1.0, -2.0, 0.5]))
     scaled = Tensor(np.array([2.0, -4.0, 1.0]))
-    assert float(sim_loss(z, [scaled]).data) == pytest.approx(-1.0, abs=1e-6)
+    assert float(sim_loss(z, Tensor(scaled.data[None])).data) == pytest.approx(-1.0, abs=1e-6)
     other = Tensor(np.array([1.0, -2.0, 0.6]))
-    assert float(sim_loss(z, [other]).data) > -1.0 + 1e-6
+    assert float(sim_loss(z, Tensor(other.data[None])).data) > -1.0 + 1e-6
+
+
+def test_sim_loss_stacked_views_match_per_pair_cosines(rng):
+    zs = rng.normal(size=(4, 6))
+    views = rng.normal(size=(4, 3, 6))
+    ref = np.mean([[zs[i] @ views[i, j] / (np.linalg.norm(zs[i]) * np.linalg.norm(views[i, j]))
+                    for j in range(3)] for i in range(4)])
+    with use_dtype(np.float64):
+        value = float(sim_loss(Tensor(zs), Tensor(views)).data)
+    assert value == pytest.approx(-ref, abs=1e-12)
 
 
 # -- tcr loss --------------------------------------------------------------------
@@ -331,6 +341,21 @@ def test_tcr_grad(rng):
         assert_grads_close(z.grad, fd, rtol=1e-4, label="tcr")
 
 
+def test_tcr_stack_is_mean_of_its_slices(rng):
+    with use_dtype(np.float64):
+        z = rng.normal(size=(3, 5, 4))
+        cfg = TCRConfig()
+        stacked = float(tcr_loss(Tensor(z), cfg).data)
+        slices = [float(tcr_loss(Tensor(z[i]), cfg).data) for i in range(3)]
+    assert stacked == pytest.approx(np.mean(slices), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 5, 4)])
+def test_tcr_rejects_other_ranks(shape):
+    with pytest.raises(ShapeError, match="coding rate"):
+        tcr_loss(Tensor(np.ones(shape)), TCRConfig())
+
+
 # -- lof loss ----------------------------------------------------------------------
 
 
@@ -342,6 +367,15 @@ def test_lof_lambda_zero_is_negative_mean_tcr(rng):
         loss, metrics = lof_loss(x, backbone, decoder, MaskConfig(0.8, 2),
                                  cfg, rng=np.random.default_rng(0), training=False)
         assert float(loss.data) == pytest.approx(-metrics["tcr_mean"], rel=1e-8)
+
+
+def test_lof_nan_mask_token_raises_from_the_coding_rate(rng):
+    backbone, decoder = tiny_model()
+    decoder.mask_token.data[0] = np.nan
+    x = Tensor(rng.normal(size=(2, 2, 32)).astype(np.float32))
+    with pytest.raises(NumericError, match="coding rate received non-finite"):
+        lof_loss(x, backbone, decoder, MaskConfig(0.8, 2), TCRConfig(),
+                 rng=np.random.default_rng(0), training=False)
 
 
 def test_lof_single_mask_boundary(rng):

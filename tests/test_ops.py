@@ -145,6 +145,14 @@ def test_batchnorm_eval_reproduces_formula_after_one_step(rng):
         assert np.allclose(y.data, oracle, rtol=1e-10)
 
 
+def test_batchnorm_running_stats_are_the_forward_moments(rng):
+    gamma, beta, rm, rv = _bn_state(3)
+    x = rng.normal(1.0, 2.0, size=(4, 3, 9)).astype(np.float32)
+    ops.batchnorm1d(Tensor(x), gamma, beta, rm, rv, 1.0, 1e-5, training=True)
+    assert np.array_equal(rm, x.mean(axis=(0, 2)))
+    assert np.array_equal(rv, x.var(axis=(0, 2)))
+
+
 def test_batchnorm_degenerate_batch_raises():
     gamma, beta, rm, rv = _bn_state(2)
     with pytest.raises(DegenerateBatchError):

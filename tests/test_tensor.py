@@ -255,3 +255,22 @@ def test_matmul_matches_numpy(i, k, j, seed):
     with use_dtype(np.float64):
         out = Tensor(a) @ Tensor(b)
     assert np.allclose(out.data, a @ b, rtol=1e-10)
+
+
+def test_no_module_imports_a_concurrency_layer():
+    # The engine flags (use_dtype, no_grad) are process-wide, so workers
+    # in one process would share them; a pool has to be added on purpose.
+    import ast
+    import pathlib
+
+    banned = {"threading", "concurrent", "multiprocessing"}
+    for path in sorted(pathlib.Path(T.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in banned, f"{path.name} imports {name}"

@@ -8,11 +8,12 @@ from mtslof.checkpoint import load_checkpoint, save_checkpoint
 from mtslof.data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic
 from mtslof.errors import ConfigError, NumericError, ShapeError
 from mtslof.objective import MaskConfig, TCRConfig
-from mtslof.tensor import parameter
+from mtslof.tensor import parameter, use_dtype
 from mtslof.training import (
     AdamW,
     OptimConfig,
     build_model,
+    compute_representations,
     evaluate,
     finetune,
     linear_probe,
@@ -176,6 +177,14 @@ def test_evaluate_ties_break_toward_smallest_class(tiny_splits):
 
     preds = predict_labels(backbone, test)
     assert np.all(preds == 0)
+
+
+def test_compute_representations_keep_the_backbone_dtype(tiny_splits):
+    train, val, test, _ = tiny_splits
+    with use_dtype(np.float64):
+        backbone, _ = tiny_model()
+        z = compute_representations(backbone, test)
+    assert z.dtype == np.float64 and z.shape == (test.n, ENCODER.model_dim)
 
 
 # -- pretrain ----------------------------------------------------------------
