@@ -283,7 +283,8 @@ def lof_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
     if masks is None:
         if rng is None:
             rng = np.random.default_rng(maskcfg.rng_seed)
-        # Splittable per-sample streams: batches could be prepared concurrently.
+        # Per-sample streams: pretraining bytes depend on them. Replacing them
+        # with one vectorized draw is ROADMAP Open item 1c.
         masks = [sample_masks(p, maskcfg, r) for r in rng.spawn(b)]
     n = masks[0].count
     mask_stack = np.concatenate([ms.masks for ms in masks])                # (b*n, p)

@@ -88,16 +88,20 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"yields output length {t_out}"
         )
 
-    xp = np.pad(xv.data, ((0, 0), (0, 0), (padding, padding)))
+    # Time-major (b, t + 2*padding, c_in): each window (k, c_in) is k*c_in
+    # contiguous values, and a conv output (a transposed view of its GEMM
+    # result) is copied in as contiguous runs.
+    xp = np.zeros((b, t + 2 * padding, c_in), dtype=xv.data.dtype)
+    xp[:, padding:padding + t] = xv.data.transpose(0, 2, 1)
     s0, s1, s2 = xp.strides
-    windows = as_strided(xp, shape=(b, t_out, c_in, k), strides=(s0, s2 * stride, s1, s2))
-    wmat = weight.data.reshape(c_out, c_in * k)
+    windows = as_strided(xp, shape=(b, t_out, k, c_in), strides=(s0, s1 * stride, s1, s2))
+    wmat = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
 
     parents = (xv, weight) if bias is None else (xv, weight, bias)
     tracking = _tracking(*parents)
-    # im2col: backward needs the whole (b, t_out, c_in*k) matrix; without a
+    # im2col: backward needs the whole (b, t_out, k*c_in) matrix; without a
     # graph, _gemm_blocks copies the windows one block at a time.
-    cols = np.ascontiguousarray(windows).reshape(b, t_out, c_in * k) if tracking else windows
+    cols = np.ascontiguousarray(windows).reshape(b, t_out, k * c_in) if tracking else windows
     data = _gemm_blocks(cols, wmat.T).transpose(0, 2, 1)
     if bias is not None:
         data = data + bias.data[:, None]
@@ -108,17 +112,17 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     def backward(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(b * t_out, c_out)
         if weight.requires_grad:
-            accumulate(weight, (gmat.T @ cols.reshape(b * t_out, c_in * k)).reshape(c_out, c_in, k))
+            gw = (gmat.T @ cols.reshape(b * t_out, k * c_in)).reshape(c_out, k, c_in)
+            accumulate(weight, np.ascontiguousarray(gw.transpose(0, 2, 1)))
         if bias is not None and bias.requires_grad:
             accumulate(bias, g.sum(axis=(0, 2)))
         if xv.requires_grad:
-            gcols = (gmat @ wmat).reshape(b, t_out, c_in, k).transpose(0, 2, 1, 3)
+            gcols = (gmat @ wmat).reshape(b, t_out, k, c_in)
             gxp = np.zeros_like(xp)
-            # Scatter each kernel offset back as a strided slice add.
+            # Scatter each kernel offset back as a strided slice add over time.
             for j in range(k):
-                gxp[:, :, j : j + stride * t_out : stride] += gcols[:, :, :, j]
-            ga = gxp[:, :, padding : padding + t] if padding else gxp
-            accumulate(xv, ga)
+                gxp[:, j : j + stride * t_out : stride] += gcols[:, :, j]
+            accumulate(xv, gxp[:, padding : padding + t].transpose(0, 2, 1))
 
     out = _from_op(data, parents, backward)
     return reshape(out, data.shape[1:]) if squeeze else out
@@ -210,20 +214,22 @@ def normal_cdf(x: np.ndarray) -> np.ndarray:
     """Phi(x) = (1 + erf(x / sqrt 2)) / 2, elementwise.
 
     float32 input is evaluated in float32 with the rational above, block by
-    block over the flattened array; any other input is evaluated with the
-    float64 `erf`. Each output element depends on its input element alone.
+    block over the array in its memory order, and the result has x's layout;
+    any other input is evaluated with the float64 `erf`. Each output element
+    depends on its input element alone.
     """
     if x.dtype != np.float32:
         return 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    flat = np.ravel(x)
-    out = np.empty_like(flat)
+    flat = np.ravel(x, order="K")
+    out = np.empty_like(x)
+    out_flat = out.ravel(order="K")
     for start in range(0, flat.size, _CDF_BLOCK):
-        block = out[start:start + _CDF_BLOCK]
+        block = out_flat[start:start + _CDF_BLOCK]
         np.multiply(flat[start:start + _CDF_BLOCK], _INV_SQRT2, out=block)
         _erf32(block)
         block += 1.0
         block *= 0.5
-    return out.reshape(x.shape)
+    return out
 
 
 def gelu(x: Tensor) -> Tensor:

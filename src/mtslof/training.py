@@ -348,18 +348,20 @@ def _train_head_on_features(features: dict[str, tuple[np.ndarray, np.ndarray]],
             optim.step()
             losses.append(float(loss.data))
         run.record(epoch, "train", float(np.mean(losses)),
-                   _head_metrics(head, x_train, y_train, class_count))
+                   _head_eval(head, x_train, y_train, class_count)[1])
         if "val" in features and features["val"][0].shape[0]:
             xv, yv = features["val"]
-            with no_grad():
-                vloss = float(ops.cross_entropy(head(Tensor(xv)), yv).data)
-            run.record(epoch, "val", vloss, _head_metrics(head, xv, yv, class_count))
+            run.record(epoch, "val", *_head_eval(head, xv, yv, class_count))
 
 
-def _head_metrics(head: Linear, x: np.ndarray, y: np.ndarray, class_count: int) -> Metrics:
+def _head_eval(head: Linear, x: np.ndarray, y: np.ndarray,
+               class_count: int) -> tuple[float, Metrics]:
+    """Cross-entropy loss and metrics of the head on features, from one head pass."""
     with no_grad():
-        preds = np.argmax(head(Tensor(x)).data, axis=-1)
-    return metrics_from_predictions(preds, y, class_count)
+        logits = head(Tensor(x))
+        loss = float(ops.cross_entropy(logits, y).data)
+    preds = np.argmax(logits.data, axis=-1)
+    return loss, metrics_from_predictions(preds, y, class_count)
 
 
 def linear_probe(train_ds: Dataset, val_ds: Dataset | None, test_ds: Dataset,
@@ -377,10 +379,7 @@ def linear_probe(train_ds: Dataset, val_ds: Dataset | None, test_ds: Dataset,
         feats["val"] = (compute_representations(backbone, val_ds), val_ds.labels)
     head = Linear(backbone.encoder_cfg.model_dim, c, np.random.default_rng(seed))
     _train_head_on_features(feats, head, optcfg, seed, c, run)
-    x_test, y_test = feats["test"]
-    metrics = _head_metrics(head, x_test, y_test, c)
-    with no_grad():
-        test_loss = float(ops.cross_entropy(head(Tensor(x_test)), y_test).data)
+    test_loss, metrics = _head_eval(head, *feats["test"], c)
     run.record(optcfg.epochs, "test", test_loss, metrics)
     backbone.head = head
     return run, metrics

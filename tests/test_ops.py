@@ -74,6 +74,45 @@ def test_conv1d_grads_match_finite_differences(rng):
             assert_grads_close(tensor.grad, fd, rtol=1e-4, label=f"conv1d {label}")
 
 
+def test_conv1d_multichannel_matches_loop_oracle(rng):
+    # c_in > 1, so the order in which channels and kernel taps are summed shows.
+    with use_dtype(np.float64):
+        x = rng.normal(size=(2, 3, 11))
+        w = rng.normal(size=(4, 3, 5))
+        bias = rng.normal(size=4)
+        out = ops.conv1d(Tensor(x), Tensor(w), Tensor(bias), stride=2, padding=3).data
+        xp = np.pad(x, ((0, 0), (0, 0), (3, 3)))
+        t_out = ops.conv_output_length(11, 5, 2, 3)
+        expect = np.zeros((2, 4, t_out))
+        for n in range(2):
+            for c in range(4):
+                for o in range(t_out):
+                    expect[n, c, o] = bias[c] + sum(xp[n, ci, 2 * o + j] * w[c, ci, j]
+                                                    for ci in range(3) for j in range(5))
+        assert out.shape == expect.shape
+        assert np.allclose(out, expect, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "grad"])
+def test_conv1d_transposed_input_bit_equal_to_contiguous_copy(rng, grad):
+    # A patcher activation is a (b, c_in, t) transposed view of a (b, t, c_in) array.
+    xt = rng.normal(size=(5, 37, 6)).astype(np.float32).transpose(0, 2, 1)
+    assert not xt.flags.c_contiguous
+    wv = rng.normal(size=(4, 6, 5)).astype(np.float32)
+    bv = rng.normal(size=4).astype(np.float32)
+    r = rng.normal(size=(5, 4, ops.conv_output_length(37, 5, 2, 2))).astype(np.float32)
+    results = []
+    for xv in (xt, np.ascontiguousarray(xt)):
+        x, w, b = (Tensor(v, requires_grad=True) for v in (xv, wv.copy(), bv.copy()))
+        with contextlib.nullcontext() if grad else no_grad():
+            out = ops.conv1d(x, w, b, stride=2, padding=2)
+            if grad:
+                (out * Tensor(r)).sum().backward()
+        results.append([out.data] + ([x.grad, w.grad, b.grad] if grad else []))
+    for name, a, c in zip(("out", "x.grad", "w.grad", "b.grad"), *results):
+        assert a.shape == c.shape and np.array_equal(a.view(np.uint32), c.view(np.uint32)), name
+
+
 @given(st.integers(1, 40), st.integers(1, 9), st.integers(1, 4), st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_conv1d_length_formula_property(t, k, s, pad):
@@ -227,6 +266,16 @@ def test_gelu_float32_blocks_bit_equal_to_elements_alone(rng):
     assert out.dtype == np.float32
     alone = np.concatenate([ops.gelu(Tensor(x[i:i + 1])).data for i in range(x.size)])
     assert np.array_equal(out.view(np.uint32), alone.view(np.uint32))
+
+
+def test_gelu_and_normal_cdf_keep_a_transposed_layout(rng):
+    # More elements than one normal_cdf block, laid out as a conv output.
+    x = (3.0 * rng.normal(size=(8, 130, 40))).astype(np.float32).transpose(0, 2, 1)
+    contiguous = np.ascontiguousarray(x)
+    for f in (ops.normal_cdf, lambda a: ops.gelu(Tensor(a)).data):
+        out, expect = f(x), f(contiguous)
+        assert out.strides == x.strides
+        assert np.array_equal(out.view(np.uint32), expect.view(np.uint32))
 
 
 # -- softmax ------------------------------------------------------------
@@ -523,6 +572,21 @@ def test_attention_weights_row_stochastic(rng):
                                  return_weights=True)
     assert np.all(weights.data >= 0)
     assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-6)
+
+
+def test_attention_grads_match_finite_differences(rng):
+    with use_dtype(np.float64):
+        q, k, v = (parameter(rng.normal(size=(2, 2, 5, 4))) for _ in range(3))
+        r = Tensor(rng.normal(size=(2, 2, 5, 4)))
+
+        def fwd():
+            return float((ops.attention(Tensor(q.data), Tensor(k.data), Tensor(v.data)) * r)
+                         .sum().data)
+
+        (ops.attention(q, k, v) * r).sum().backward()
+        for tensor, label in ((q, "q"), (k, "k"), (v, "v")):
+            fd = central_diff(fwd, tensor.data, step=1e-5)
+            assert_grads_close(tensor.grad, fd, rtol=1e-6, label=f"attention {label}")
 
 
 # -- cross entropy ---------------------------------------------------------
