@@ -19,7 +19,6 @@ from .data import (
 from .objective import (
     Decoder,
     MaskConfig,
-    MaskSet,
     TCRConfig,
     decode_full,
     encode_visible,

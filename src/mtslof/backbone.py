@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, InputTooShortError
+from .errors import ConfigError, InputTooShortError, ShapeError
 from .tensor import Tensor, as_tensor, parameter, reshape, swapaxes
 
 
@@ -249,12 +249,11 @@ class TransformerEncoder:
     def __call__(self, x: Tensor, training: bool = False,
                  rng: np.random.Generator | None = None,
                  collect_attn: list | None = None) -> Tensor:
-        squeeze = x.data.ndim == 2
-        if squeeze:
-            x = reshape(x, (1,) + x.data.shape)
+        if x.data.ndim != 3:
+            raise ShapeError(f"the transformer expects (b, p, d) tokens, got {x.data.shape}")
         for block in self.blocks:
             x = block(x, training, rng, collect_attn)
-        return reshape(x, x.data.shape[1:]) if squeeze else x
+        return x
 
     def named_tensors(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -264,7 +263,7 @@ class TransformerEncoder:
 
 
 class ConvPatcher:
-    """Turns an (m, t) series into a (p, d) token sequence.
+    """Turns a (b, m, t) batch of series into (b, p, d) token sequences.
 
     Layers 1-4 are each followed by batch normalization and GELU; the
     final 1x1 layer is bare.
@@ -277,14 +276,9 @@ class ConvPatcher:
         self.norms = [BatchNorm1dLayer(co) for _, co, _, _, _ in shapes[:4]]
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
-        squeeze = x.data.ndim == 2
-        if squeeze:
-            x = reshape(x, (1,) + x.data.shape)
         for conv, norm in zip(self.convs[:4], self.norms):
             x = ops.gelu(norm(conv(x), training))
-        x = self.convs[4](x)
-        tokens = swapaxes(x, -1, -2)
-        return reshape(tokens, tokens.data.shape[1:]) if squeeze else tokens
+        return swapaxes(self.convs[4](x), -1, -2)
 
     def named_tensors(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -338,8 +332,14 @@ class Backbone:
 
     def represent(self, x: Tensor, training: bool = False,
                   rng: np.random.Generator | None = None) -> Tensor:
-        """Pooled sequence representation: (m, t) -> (d,) or (b, m, t) -> (b, d)."""
-        return ops.mean_pool(self.encode(self.tokens_with_pe(x, training), training, rng))
+        """Pooled sequence representation: (b, m, t) -> (b, d), or (m, t) -> (d,).
+
+        The one entry that takes a single sample; every layer below takes a batch."""
+        single = x.data.ndim == 2
+        if single:
+            x = reshape(x, (1,) + x.data.shape)
+        z = ops.mean_pool(self.encode(self.tokens_with_pe(x, training), training, rng))
+        return reshape(z, z.data.shape[1:]) if single else z
 
     def classify(self, z: Tensor) -> Tensor:
         return self.head(z)

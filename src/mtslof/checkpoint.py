@@ -88,19 +88,18 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     return out
 
 
-def apply_state(targets: dict, loaded: dict[str, np.ndarray], prefix: str = "") -> None:
+def apply_state(targets: dict, loaded: dict[str, np.ndarray]) -> None:
     """Copy loaded arrays into model tensors/buffers, strict on names and shapes.
 
     `targets` maps names to Tensor objects or plain numpy buffers.
     """
     for name, target in targets.items():
-        key = prefix + name
-        if key not in loaded:
-            raise CheckpointMismatchError(f"checkpoint is missing tensor {key!r}")
-        arr = loaded[key]
+        if name not in loaded:
+            raise CheckpointMismatchError(f"checkpoint is missing tensor {name!r}")
+        arr = loaded[name]
         dest = target if isinstance(target, np.ndarray) else target.data
         if tuple(arr.shape) != tuple(dest.shape):
             raise CheckpointMismatchError(
-                f"shape mismatch for {key!r}: checkpoint {tuple(arr.shape)}, model {tuple(dest.shape)}"
+                f"shape mismatch for {name!r}: checkpoint {tuple(arr.shape)}, model {tuple(dest.shape)}"
             )
         dest[...] = arr.astype(dest.dtype)

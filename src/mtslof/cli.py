@@ -168,6 +168,10 @@ def resolve_config(config_path: str | None, args: argparse.Namespace) -> dict:
                 raise ConfigError(f"bad value for {key}: {_fmt(cfg[key])} is not finite")
     if not cfg["seeds"]:
         raise ConfigError("bad value for seeds: the seed list is empty")
+    # numpy seeds must be non-negative; a signature_seed of -1 reuses data_seed.
+    for key, low in (("seeds", 0), ("data_seed", 0), ("split_seed", 0), ("signature_seed", -1)):
+        if min(cfg[key] if isinstance(cfg[key], list) else [cfg[key]]) < low:
+            raise ConfigError(f"bad value for {key}: {_fmt(cfg[key])} is below {low}")
     return cfg
 
 

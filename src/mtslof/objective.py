@@ -11,7 +11,7 @@ collapsing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,31 +60,15 @@ class TCRConfig:
             raise ConfigError(f"tcr_weight must be nonnegative, got {self.tcr_weight}")
 
 
-@dataclass
-class MaskSet:
-    """N boolean masks over p patch positions; True marks a hidden patch."""
-
-    masks: np.ndarray            # (N, p) bool
-    visible: np.ndarray          # (N, v) int, ascending
-    hidden: np.ndarray           # (N, h) int, ascending
-
-    @property
-    def count(self) -> int:
-        return self.masks.shape[0]
-
-    @property
-    def positions(self) -> int:
-        return self.masks.shape[1]
-
-
 def hidden_count(p: int, ratio: float) -> int:
     """round(ratio * p), clamped so at least one patch stays on each side."""
     h = int(round(ratio * p))
     return min(max(h, 1), p - 1)
 
 
-def sample_masks(p: int, cfg: MaskConfig, rng: np.random.Generator | None = None) -> MaskSet:
-    """Draw N distinct uniform h-subsets of positions, resampling duplicates."""
+def sample_masks(p: int, cfg: MaskConfig, rng: np.random.Generator | None = None) -> np.ndarray:
+    """N distinct uniform h-subsets of positions as an (N, p) bool array, True
+    marking a hidden patch; a repeated draw is redrawn."""
     if p < 2:
         raise ConfigError(f"masking needs at least 2 patch positions, got {p}")
     if rng is None:
@@ -95,24 +79,16 @@ def sample_masks(p: int, cfg: MaskConfig, rng: np.random.Generator | None = None
         raise ConfigError(
             f"{cfg.count} distinct masks requested but only C({p},{h})={limit} exist"
         )
-    chosen: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    attempts = 0
-    while len(chosen) < cfg.count:
-        attempts += 1
-        if attempts > 1000 * cfg.count + 1000:
-            raise ConfigError(f"mask sampling failed to find {cfg.count} distinct masks")
-        pick = tuple(sorted(rng.choice(p, size=h, replace=False).tolist()))
-        if pick in seen:
-            continue
-        seen.add(pick)
-        chosen.append(pick)
     masks = np.zeros((cfg.count, p), dtype=bool)
-    for i, pick in enumerate(chosen):
-        masks[i, list(pick)] = True
-    hidden = np.array(chosen, dtype=np.int64)
-    visible = np.array([np.flatnonzero(~m) for m in masks], dtype=np.int64)
-    return MaskSet(masks=masks, visible=visible, hidden=hidden)
+    seen: set[frozenset[int]] = set()
+    for _ in range(1000 * cfg.count + 1000):
+        pick = frozenset(rng.choice(p, size=h, replace=False).tolist())
+        if pick not in seen:
+            masks[len(seen), list(pick)] = True
+            seen.add(pick)
+            if len(seen) == cfg.count:
+                return masks
+    raise ConfigError(f"mask sampling failed to find {cfg.count} distinct masks")
 
 
 class Decoder:
@@ -125,16 +101,8 @@ class Decoder:
 
     def __init__(self, encoder_cfg: EncoderConfig, depth: int = 4,
                  with_recon_head: bool = False, seed: int = 0):
-        cfg = EncoderConfig(
-            model_dim=encoder_cfg.model_dim,
-            heads=encoder_cfg.heads,
-            depth=depth,
-            ffn_multiplier=encoder_cfg.ffn_multiplier,
-            dropout=encoder_cfg.dropout,
-            pre_norm=encoder_cfg.pre_norm,
-        )
+        self.cfg = cfg = replace(encoder_cfg, depth=depth)
         rng = np.random.default_rng(seed)
-        self.cfg = cfg
         self.mask_token = parameter(trunc_normal(rng, (cfg.model_dim,)))
         self.blocks = TransformerEncoder(cfg, rng)
         self.recon_head = Linear(cfg.model_dim, cfg.model_dim, rng) if with_recon_head else None
@@ -153,24 +121,33 @@ class Decoder:
 
 # -- masked-view operations ---------------------------------------------
 #
-# Each takes one view (tokens (p, d), mask (p,)) or a stack of B views
-# (tokens (B, p, d), masks (B, p)); the objectives below call them on stacks.
+# Each takes a stack of B views: tokens (B, p, d) and bool masks (B, p),
+# True marking a hidden patch.
 
 
 def _mask_indices(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending visible and hidden positions, shaped (..., v) and (..., h)."""
+    """Ascending visible and hidden positions of (B, p) masks, shaped (B, v) and (B, h)."""
     mask = np.asarray(mask, dtype=bool)
-    counts = mask.sum(axis=-1).reshape(-1)
+    if mask.ndim != 2:
+        raise ShapeError(f"masks must be a (B, p) stack, got shape {mask.shape}")
+    counts = mask.sum(axis=-1)
     ragged = np.flatnonzero(counts != counts[:1])
     if ragged.size:
         i = int(ragged[0])
         raise ShapeError(f"mask {i} hides {counts[i]} patches but mask 0 hides {counts[0]}; "
                          "stacked masks must hide the same number")
     h = int(counts[0]) if counts.size else 0
-    lead = mask.shape[:-1]
-    visible = np.nonzero(~mask)[-1].reshape(lead + (mask.shape[-1] - h,))
-    hidden = np.nonzero(mask)[-1].reshape(lead + (h,))
+    visible = np.nonzero(~mask)[1].reshape(len(mask), mask.shape[1] - h)
+    hidden = np.nonzero(mask)[1].reshape(len(mask), h)
     return visible, hidden
+
+
+def _check_masks(masks, expected: tuple[int, ...], loss: str) -> np.ndarray:
+    """`masks` as a bool array, or a ShapeError naming the expected shape."""
+    masks = np.asarray(masks, dtype=bool)
+    if masks.shape != expected:
+        raise ShapeError(f"{loss} masks must have shape {expected}, got {masks.shape}")
+    return masks
 
 
 def encode_visible(tokens_pe: Tensor, mask: np.ndarray, backbone: Backbone,
@@ -190,7 +167,7 @@ def assemble_decoder_input(z_vis: Tensor, mask: np.ndarray, decoder: Decoder) ->
     d = decoder.cfg.model_dim
     placed = scatter_rows(z_vis, visible, p)
     if hidden.size:
-        token = reshape(decoder.mask_token, (1,) * hidden.ndim + (d,))
+        token = reshape(decoder.mask_token, (1, 1, d))
         placed = placed + scatter_rows(expand(token, hidden.shape + (d,)), hidden, p)
     pe = positional_encoding(p, d, dtype=z_vis.data.dtype)
     return placed + as_tensor(pe, z_vis)
@@ -205,7 +182,8 @@ def decode_full(z_vis: Tensor, mask: np.ndarray, decoder: Decoder,
 def masked_view_representation(x: Tensor, mask: np.ndarray, backbone: Backbone,
                                decoder: Decoder, training: bool = False,
                                rng: np.random.Generator | None = None) -> Tensor:
-    """Pooled decoder output for one masked view of one sample."""
+    """Pooled decoder outputs, one masked view per sample: x (b, m, t) and
+    masks (b, p) give (b, d). The reference that `lof_loss` is tested against."""
     tokens_pe = backbone.tokens_with_pe(x, training)
     z_vis = encode_visible(tokens_pe, mask, backbone, training, rng)
     return ops.mean_pool(decode_full(z_vis, mask, decoder, training, rng))
@@ -264,15 +242,15 @@ def masked_mse(recon: Tensor, target: np.ndarray, hidden: np.ndarray) -> Tensor:
 def lof_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
              maskcfg: MaskConfig, tcrcfg: TCRConfig,
              rng: np.random.Generator | None = None,
-             masks: list[MaskSet] | None = None,
+             masks: np.ndarray | None = None,
              training: bool = True) -> tuple[Tensor, dict]:
     """Full pretraining objective over a batch.
 
     Per sample: one full-view pooled representation and N masked-view
-    representations from a fresh MaskSet. The loss combines the negative
-    cosine similarity between full and masked views with the mean
-    per-view coding rate of the masked-view batches (maximized), weighted
-    per the TCRConfig switches. Returns (loss, metrics).
+    representations, under N fresh masks or the given (b, N, p) bool `masks`.
+    The loss combines the negative cosine similarity between full and masked
+    views with the mean per-view coding rate of the masked-view batches
+    (maximized), weighted per the TCRConfig switches. Returns (loss, metrics).
     """
     if x.data.ndim != 3:
         raise ShapeError(f"lof_loss expects a (b, m, t) batch, got {x.data.shape}")
@@ -285,9 +263,9 @@ def lof_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
             rng = np.random.default_rng(maskcfg.rng_seed)
         # Per-sample streams: pretraining bytes depend on them. Replacing them
         # with one vectorized draw is ROADMAP Open item 1c.
-        masks = [sample_masks(p, maskcfg, r) for r in rng.spawn(b)]
-    n = masks[0].count
-    mask_stack = np.concatenate([ms.masks for ms in masks])                # (b*n, p)
+        masks = np.stack([sample_masks(p, maskcfg, r) for r in rng.spawn(b)])
+    n = maskcfg.count
+    mask_stack = _check_masks(masks, (b, n, p), "lof_loss").reshape(b * n, p)
 
     # Full view: plain encoder path.
     z_full = ops.mean_pool(backbone.encode(tokens_pe, training, rng))       # (b, d)
@@ -319,13 +297,14 @@ def lof_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
 
 def mae_recon_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
                    maskcfg: MaskConfig, rng: np.random.Generator | None = None,
-                   masks: list[np.ndarray] | None = None,
+                   masks: np.ndarray | None = None,
                    training: bool = True) -> Tensor:
     """Masked-autoencoder baseline: reconstruct hidden patch tokens.
 
-    One mask per sample, all hiding the same number of patches; the target
-    is the patcher output (token space, no positional table), treated as
-    constant. The error is averaged over hidden token entries only.
+    One mask per sample, drawn or given as (b, p) bool `masks`, all hiding
+    the same number of patches; the target is the patcher output (token
+    space, no positional table), treated as constant. The error is averaged
+    over hidden token entries only.
     """
     if decoder.recon_head is None:
         raise ConfigError("mae_recon_loss needs a decoder built with a reconstruction head")
@@ -342,10 +321,10 @@ def mae_recon_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
         if rng is None:
             rng = np.random.default_rng(maskcfg.rng_seed)
         one = MaskConfig(ratio=maskcfg.ratio, count=1, rng_seed=maskcfg.rng_seed)
-        masks = [sample_masks(p, one, r).masks[0] for r in rng.spawn(b)]
+        masks = np.concatenate([sample_masks(p, one, r) for r in rng.spawn(b)])
 
-    mask_stack = np.stack(masks)                                             # (b, p)
-    z_vis = encode_visible(tokens_pe, mask_stack, backbone, training, rng)
-    recon = decoder.recon_head(decode_full(z_vis, mask_stack, decoder, training, rng))
-    _, hidden = _mask_indices(mask_stack)
+    masks = _check_masks(masks, (b, p), "mae_recon_loss")
+    z_vis = encode_visible(tokens_pe, masks, backbone, training, rng)
+    recon = decoder.recon_head(decode_full(z_vis, masks, decoder, training, rng))
+    _, hidden = _mask_indices(masks)
     return masked_mse(recon, target, hidden)

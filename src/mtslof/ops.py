@@ -72,15 +72,15 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation over the time axis.
 
-    x is (c_in, t) or (b, c_in, t); weight is (c_out, c_in, k). Output
-    length is floor((t + 2*padding - k) / stride) + 1 and must be >= 1.
+    x is (b, c_in, t); weight is (c_out, c_in, k). Output length is
+    floor((t + 2*padding - k) / stride) + 1 and must be >= 1.
     """
-    squeeze = x.data.ndim == 2
-    xv = reshape(x, (1,) + x.data.shape) if squeeze else x
-    b, c_in, t = xv.data.shape
+    if x.data.ndim != 3:
+        raise ShapeError(f"conv1d expects (b, c_in, t) input, got {x.data.shape}")
+    b, c_in, t = x.data.shape
     c_out, c_in_w, k = weight.data.shape
     if c_in != c_in_w:
-        raise ShapeError(f"conv1d channel mismatch: input {xv.data.shape} vs kernel {weight.data.shape}")
+        raise ShapeError(f"conv1d channel mismatch: input {x.data.shape} vs kernel {weight.data.shape}")
     t_out = conv_output_length(t, k, stride, padding)
     if t_out < 1:
         raise InputTooShortError(
@@ -91,13 +91,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     # Time-major (b, t + 2*padding, c_in): each window (k, c_in) is k*c_in
     # contiguous values, and a conv output (a transposed view of its GEMM
     # result) is copied in as contiguous runs.
-    xp = np.zeros((b, t + 2 * padding, c_in), dtype=xv.data.dtype)
-    xp[:, padding:padding + t] = xv.data.transpose(0, 2, 1)
+    xp = np.zeros((b, t + 2 * padding, c_in), dtype=x.data.dtype)
+    xp[:, padding:padding + t] = x.data.transpose(0, 2, 1)
     s0, s1, s2 = xp.strides
     windows = as_strided(xp, shape=(b, t_out, k, c_in), strides=(s0, s1 * stride, s1, s2))
     wmat = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
 
-    parents = (xv, weight) if bias is None else (xv, weight, bias)
+    parents = (x, weight) if bias is None else (x, weight, bias)
     tracking = _tracking(*parents)
     # im2col: backward needs the whole (b, t_out, k*c_in) matrix; without a
     # graph, _gemm_blocks copies the windows one block at a time.
@@ -106,8 +106,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None:
         data = data + bias.data[:, None]
     if not tracking:
-        out = _const(data)
-        return reshape(out, data.shape[1:]) if squeeze else out
+        return _const(data)
 
     def backward(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(b * t_out, c_out)
@@ -116,16 +115,15 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             accumulate(weight, np.ascontiguousarray(gw.transpose(0, 2, 1)))
         if bias is not None and bias.requires_grad:
             accumulate(bias, g.sum(axis=(0, 2)))
-        if xv.requires_grad:
+        if x.requires_grad:
             gcols = (gmat @ wmat).reshape(b, t_out, k, c_in)
             gxp = np.zeros_like(xp)
             # Scatter each kernel offset back as a strided slice add over time.
             for j in range(k):
                 gxp[:, j : j + stride * t_out : stride] += gcols[:, :, j]
-            accumulate(xv, gxp[:, padding : padding + t].transpose(0, 2, 1))
+            accumulate(x, gxp[:, padding : padding + t].transpose(0, 2, 1))
 
-    out = _from_op(data, parents, backward)
-    return reshape(out, data.shape[1:]) if squeeze else out
+    return _from_op(data, parents, backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -321,26 +319,23 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     running stats in place (biased variance, consistent with the stats
     used for normalization). Eval mode applies the running stats.
     """
-    squeeze = x.data.ndim == 2
-    xv = reshape(x, (1,) + x.data.shape) if squeeze else x
-    if xv.data.ndim != 3:
+    if x.data.ndim != 3:
         raise ShapeError(f"batchnorm1d expects (b, c, t) input, got {x.data.shape}")
-    b, c, t = xv.data.shape
+    b, c, t = x.data.shape
     if training:
         if b * t <= 1:
             raise DegenerateBatchError(
                 f"batchnorm1d needs more than one value per channel in train mode, got batch {b} x time {t}"
             )
-        y, mu, var = _standardize(xv, (0, 2), eps)
+        y, mu, var = _standardize(x, (0, 2), eps)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu.reshape(c)
         running_var *= 1.0 - momentum
         running_var += momentum * var.reshape(c)
     else:
         inv = (1.0 / np.sqrt(running_var + eps))[None, :, None]
-        y = (xv - running_mean[None, :, None].astype(xv.data.dtype)) * inv.astype(xv.data.dtype)
-    out = y * reshape(gamma, (1, c, 1)) + reshape(beta, (1, c, 1))
-    return reshape(out, out.data.shape[1:]) if squeeze else out
+        y = (x - running_mean[None, :, None].astype(x.data.dtype)) * inv.astype(x.data.dtype)
+    return y * reshape(gamma, (1, c, 1)) + reshape(beta, (1, c, 1))
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:

@@ -487,23 +487,13 @@ def expand(a: Tensor, shape) -> Tensor:
 
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows along the second-to-last axis.
-
-    2D input with 1D indices gives out[j] = a[idx[j]]; 3D input with 2D
-    indices gathers per batch row: out[i, j] = a[i, idx[i, j]].
-    """
+    """Gather rows per batch item: (b, p, d) with (b, k) indices gives
+    out[i, j] = a[i, idx[i, j]]."""
     idx = np.asarray(idx)
-    if a.data.ndim == 2 and idx.ndim == 1:
-        data = a.data[idx]
-        gather = (idx,)
-    elif a.data.ndim == 3 and idx.ndim == 2:
-        if idx.shape[0] != a.data.shape[0]:
-            raise ShapeError(f"take_rows batch mismatch: {a.shape} vs idx {idx.shape}")
-        rows = np.arange(a.data.shape[0])[:, None]
-        data = a.data[rows, idx]
-        gather = (rows, idx)
-    else:
-        raise ShapeError(f"take_rows supports (p,d)/1D-idx or (b,p,d)/2D-idx, got {a.shape}, {idx.shape}")
+    if a.data.ndim != 3 or idx.ndim != 2 or idx.shape[0] != a.data.shape[0]:
+        raise ShapeError(f"take_rows needs a (b, p, d) tensor and (b, k) indices, got {a.shape}, {idx.shape}")
+    gather = (np.arange(a.data.shape[0])[:, None], idx)
+    data = a.data[gather]
     if not _tracking(a):
         return _const(data)
 
@@ -516,22 +506,15 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def scatter_rows(a: Tensor, idx: np.ndarray, length: int) -> Tensor:
-    """Inverse of take_rows: place rows at idx in a zero tensor of `length` rows."""
+    """Inverse of take_rows: place the rows of a (b, k, d) tensor at (b, k)
+    indices in a zero (b, length, d) tensor."""
     idx = np.asarray(idx)
-    if a.data.ndim == 2 and idx.ndim == 1:
-        data = np.zeros((length, a.data.shape[-1]), dtype=a.data.dtype)
-        data[idx] = a.data
-        gather = (idx,)
-    elif a.data.ndim == 3 and idx.ndim == 2:
-        if idx.shape[0] != a.data.shape[0]:
-            raise ShapeError(f"scatter_rows batch mismatch: {a.shape} vs idx {idx.shape}")
-        b = a.data.shape[0]
-        rows = np.arange(b)[:, None]
-        data = np.zeros((b, length, a.data.shape[-1]), dtype=a.data.dtype)
-        data[rows, idx] = a.data
-        gather = (rows, idx)
-    else:
-        raise ShapeError(f"scatter_rows supports (v,d)/1D-idx or (b,v,d)/2D-idx, got {a.shape}, {idx.shape}")
+    if a.data.ndim != 3 or idx.shape != a.data.shape[:2]:
+        raise ShapeError(f"scatter_rows needs a (b, k, d) tensor and (b, k) indices, got {a.shape}, {idx.shape}")
+    b, _, d = a.data.shape
+    gather = (np.arange(b)[:, None], idx)
+    data = np.zeros((b, length, d), dtype=a.data.dtype)
+    data[gather] = a.data
     if not _tracking(a):
         return _const(data)
 

@@ -236,7 +236,7 @@ def test_criterion_1_gradient_fidelity():
         backbone, decoder = build_model(patcher, encoder, class_count=3,
                                         decoder_depth=2, seed=1)
         xfull = Tensor(rng.normal(size=(2, 2, 32)))
-        masks = [sample_masks(4, MaskConfig(0.8, 2, rng_seed=j)) for j in range(2)]
+        masks = np.stack([sample_masks(4, MaskConfig(0.8, 2, rng_seed=j)) for j in range(2)])
 
         def full_loss():
             loss, _ = lof_loss(xfull, backbone, decoder, MaskConfig(0.8, 2),
@@ -282,7 +282,7 @@ def test_criterion_2_tcr_closed_forms():
     assert orthonormal > collapsed
 
 
-@report(3, "masking contract over 1000 sampled MaskSets (p=16, ratio 0.8, N=20)")
+@report(3, "masking contract over 1000 sampled mask sets (p=16, ratio 0.8, N=20)")
 def test_criterion_3_masking_contract():
     p, n = 16, 20
     cfg = MaskConfig(ratio=0.8, count=n)
@@ -290,10 +290,10 @@ def test_criterion_3_masking_contract():
     hide_counts = np.zeros(p, dtype=np.int64)
     total_masks = 0
     for _ in range(1000):
-        ms = sample_masks(p, cfg, rng)
-        assert np.all(ms.masks.sum(axis=1) == 13)
-        assert len({tuple(row) for row in ms.masks}) == n
-        hide_counts += ms.masks.sum(axis=0)
+        masks = sample_masks(p, cfg, rng)
+        assert np.all(masks.sum(axis=1) == 13)
+        assert len({tuple(row) for row in masks}) == n
+        hide_counts += masks.sum(axis=0)
         total_masks += n
     freq = hide_counts / total_masks
     assert np.all(np.abs(freq - 13.0 / 16.0) <= 0.02), freq
@@ -459,10 +459,10 @@ def test_criterion_11_degenerate_path(rng):
         EncoderConfig(model_dim=8, heads=2, depth=2, ffn_multiplier=2, dropout=0.0),
         class_count=3, decoder_depth=1, seed=5)
     for _ in range(3):
-        x = Tensor(rng.normal(size=(2, 32)).astype(np.float32))
+        x = Tensor(rng.normal(size=(1, 2, 32)).astype(np.float32))
         mask = np.zeros(4, dtype=bool)
         with no_grad():
             tokens = backbone.tokens_with_pe(x)
-            masked_path = ops.mean_pool(encode_visible(tokens, mask, backbone))
+            masked_path = ops.mean_pool(encode_visible(tokens, mask[None], backbone))
             plain_path = ops.mean_pool(backbone.encode(tokens))
         assert np.allclose(masked_path.data, plain_path.data, atol=1e-6)

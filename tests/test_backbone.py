@@ -93,14 +93,14 @@ def test_encoder_depth_zero_is_identity(rng):
     enc = TransformerEncoder(EncoderConfig(model_dim=8, heads=2, depth=0,
                                            ffn_multiplier=2, dropout=0.0),
                              np.random.default_rng(0))
-    x = Tensor(rng.normal(size=(5, 8)).astype(np.float32))
+    x = Tensor(rng.normal(size=(1, 5, 8)).astype(np.float32))
     assert np.array_equal(enc(x).data, x.data)
 
 
 def test_encoder_output_shape(rng):
     enc = TransformerEncoder(TINY_ENCODER, np.random.default_rng(0))
-    out = enc(Tensor(rng.normal(size=(7, 8)).astype(np.float32)))
-    assert out.shape == (7, 8)
+    out = enc(Tensor(rng.normal(size=(1, 7, 8)).astype(np.float32)))
+    assert out.shape == (1, 7, 8)
 
 
 def test_encoder_permutation_equivariance(rng):
@@ -109,8 +109,8 @@ def test_encoder_permutation_equivariance(rng):
         x = rng.normal(size=(6, 8))
         perm = rng.permutation(6)
         with no_grad():
-            direct = enc(Tensor(x)).data
-            permuted = enc(Tensor(x[perm])).data
+            direct = enc(Tensor(x[None])).data[0]
+            permuted = enc(Tensor(x[perm][None])).data[0]
         assert np.allclose(permuted, direct[perm], atol=1e-10)
 
 
@@ -142,13 +142,13 @@ def test_patchify_token_count_matches_patch_count(rng):
     backbone = tiny_backbone()
     for t in (32, 48, 64):
         with no_grad():
-            tokens = backbone.patcher(Tensor(rng.normal(size=(2, t)).astype(np.float32)))
-        assert tokens.shape == (patch_count(t, TINY_PATCHER), 8)
+            tokens = backbone.patcher(Tensor(rng.normal(size=(1, 2, t)).astype(np.float32)))
+        assert tokens.shape == (1, patch_count(t, TINY_PATCHER), 8)
 
 
 def test_patchify_eval_deterministic(rng):
     backbone = tiny_backbone()
-    x = Tensor(rng.normal(size=(2, 32)).astype(np.float32))
+    x = Tensor(rng.normal(size=(1, 2, 32)).astype(np.float32))
     with no_grad():
         a = backbone.patcher(x).data
         b = backbone.patcher(x).data
@@ -161,7 +161,7 @@ def test_patchify_eval_batch_invariance_exact(rng):
     with no_grad():
         batched = backbone.patcher(Tensor(xs)).data
         doubled = backbone.patcher(Tensor(np.concatenate([xs, xs]))).data
-        singles = np.stack([backbone.patcher(Tensor(xs[i])).data for i in range(6)])
+        singles = np.concatenate([backbone.patcher(Tensor(xs[i][None])).data for i in range(6)])
     assert np.array_equal(batched, singles)
     assert np.array_equal(doubled[:6], batched)
 
@@ -169,8 +169,8 @@ def test_patchify_eval_batch_invariance_exact(rng):
 def test_patchify_zero_input_is_input_independent_constant():
     backbone = tiny_backbone()
     with no_grad():
-        a = backbone.patcher(Tensor(np.zeros((2, 32), dtype=np.float32))).data
-        b = backbone.patcher(Tensor(np.zeros((2, 32), dtype=np.float32))).data
+        a = backbone.patcher(Tensor(np.zeros((1, 2, 32), dtype=np.float32))).data
+        b = backbone.patcher(Tensor(np.zeros((1, 2, 32), dtype=np.float32))).data
     assert np.array_equal(a, b)
 
 
@@ -183,7 +183,7 @@ def test_patchify_zero_input_zero_shifts_propagates_to_zero():
     for norm in backbone.patcher.norms:
         norm.beta.data[...] = 0.0
     with no_grad():
-        out = backbone.patcher(Tensor(np.zeros((2, 32), dtype=np.float32))).data
+        out = backbone.patcher(Tensor(np.zeros((1, 2, 32), dtype=np.float32))).data
     assert np.array_equal(out, np.zeros_like(out))
 
 
@@ -205,8 +205,8 @@ def test_represent_matches_manual_composition(rng):
     x = Tensor(rng.normal(size=(2, 32)).astype(np.float32))
     with no_grad():
         z = backbone.represent(x)
-        manual = ops.mean_pool(backbone.encode(backbone.tokens_with_pe(x)))
-    assert np.array_equal(z.data, manual.data)
+        manual = ops.mean_pool(backbone.encode(backbone.tokens_with_pe(Tensor(x.data[None]))))
+    assert np.array_equal(z.data, manual.data[0])
 
 
 def test_classify_zero_head_gives_zero_logits(rng):

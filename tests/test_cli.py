@@ -283,6 +283,31 @@ def test_empty_seed_list_rejected(workdir, tmp_path, capsys, command):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["pretrain", "--seed=-1"], "seeds"),
+    (["pretrain", "--seed=2019,-1"], "seeds"),
+    (["pretrain", "--split-seed=-3"], "split_seed"),
+    (["pretrain", "--config", "split_seed=-3"], "split_seed"),
+    (["gen-data", "--data-seed=-2"], "data_seed"),
+    (["gen-data", "--config", "data_seed=-2"], "data_seed"),
+    (["gen-data", "--signature-seed=-2"], "signature_seed"),
+], ids=["seed", "seed-list", "split-seed", "split-seed-config", "data-seed", "data-seed-config",
+        "signature-seed"])
+def test_negative_seeds_rejected_naming_the_key(workdir, tmp_path, capsys, argv, key):
+    out = str(tmp_path / "x.out")
+    ckpt = str(tmp_path / "x.ckpt")
+    if "--config" in argv:
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(argv[-1] + "\n")
+        argv = argv[:-1] + [str(cfg)]
+    if argv[0] == "pretrain":
+        argv = argv + ["--data", workdir["data"], "--checkpoint", ckpt, "--epochs", "1", *TINY]
+    code = main(argv + ["--out", out])
+    assert code == 1
+    assert f"error: bad value for {key}: " in capsys.readouterr().err
+    assert not os.path.exists(out) and not os.path.exists(ckpt)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("flag, key", [
     ("--lr", "lr"), ("--weight-decay", "weight_decay"), ("--epsilon", "epsilon"),

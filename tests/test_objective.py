@@ -12,6 +12,7 @@ from mtslof.objective import (
     Decoder,
     MaskConfig,
     TCRConfig,
+    _mask_indices,
     assemble_decoder_input,
     decode_full,
     encode_visible,
@@ -48,19 +49,21 @@ def test_hidden_count_examples():
 
 
 def test_sample_masks_counts_and_distinct():
-    ms = sample_masks(16, MaskConfig(ratio=0.8, count=20, rng_seed=5))
-    assert ms.masks.shape == (20, 16)
-    assert np.all(ms.masks.sum(axis=1) == 13)
-    assert len({tuple(row) for row in ms.masks}) == 20
+    masks = sample_masks(16, MaskConfig(ratio=0.8, count=20, rng_seed=5))
+    assert isinstance(masks, np.ndarray) and masks.dtype == bool
+    assert masks.shape == (20, 16)
+    assert np.all(masks.sum(axis=1) == 13)
+    assert len({tuple(row) for row in masks}) == 20
+    visible, hidden = _mask_indices(masks)
     for i in range(20):
-        assert np.array_equal(np.flatnonzero(ms.masks[i]), ms.hidden[i])
-        assert np.array_equal(np.flatnonzero(~ms.masks[i]), ms.visible[i])
+        assert np.array_equal(np.flatnonzero(masks[i]), hidden[i])
+        assert np.array_equal(np.flatnonzero(~masks[i]), visible[i])
 
 
 def test_sample_masks_deterministic():
     a = sample_masks(16, MaskConfig(ratio=0.8, count=20, rng_seed=9))
     b = sample_masks(16, MaskConfig(ratio=0.8, count=20, rng_seed=9))
-    assert np.array_equal(a.masks, b.masks)
+    assert np.array_equal(a, b)
 
 
 def test_sample_masks_infeasible_count():
@@ -81,22 +84,22 @@ def test_mask_ratio_validation():
 
 def test_encode_visible_all_visible_equals_full(rng):
     backbone, _ = tiny_model()
-    x = Tensor(rng.normal(size=(2, 32)).astype(np.float32))
+    x = Tensor(rng.normal(size=(1, 2, 32)).astype(np.float32))
     mask = np.zeros(4, dtype=bool)
     with no_grad():
         tokens = backbone.tokens_with_pe(x)
-        via_visible = encode_visible(tokens, mask, backbone)
+        via_visible = encode_visible(tokens, mask[None], backbone)
         full = backbone.encode(tokens)
     assert np.array_equal(via_visible.data, full.data)
 
 
 def test_encode_visible_single_token(rng):
     backbone, _ = tiny_model()
-    x = Tensor(rng.normal(size=(2, 32)).astype(np.float32))
+    x = Tensor(rng.normal(size=(1, 2, 32)).astype(np.float32))
     mask = np.array([True, True, True, False])
     with no_grad():
-        out = encode_visible(backbone.tokens_with_pe(x), mask, backbone)
-    assert out.shape == (1, 8)
+        out = encode_visible(backbone.tokens_with_pe(x), mask[None], backbone)
+    assert out.shape == (1, 1, 8)
 
 
 def test_encode_visible_ignores_hidden_tokens(rng):
@@ -107,8 +110,8 @@ def test_encode_visible_ignores_hidden_tokens(rng):
     perturbed[0] += 100.0
     perturbed[2] -= 50.0
     with no_grad():
-        a = encode_visible(Tensor(tokens), mask, backbone).data
-        b = encode_visible(Tensor(perturbed), mask, backbone).data
+        a = encode_visible(Tensor(tokens[None]), mask[None], backbone).data
+        b = encode_visible(Tensor(perturbed[None]), mask[None], backbone).data
     assert np.array_equal(a, b)
 
 
@@ -120,7 +123,7 @@ def test_assemble_decoder_input_construction(rng):
     mask = np.array([True, False, True, False, True])
     z_vis = rng.normal(size=(2, 8)).astype(np.float32)
     with no_grad():
-        assembled = assemble_decoder_input(Tensor(z_vis), mask, decoder).data
+        assembled = assemble_decoder_input(Tensor(z_vis[None]), mask[None], decoder).data[0]
     pe = positional_encoding(5, 8)
     expect = pe.copy()
     expect[1] += z_vis[0]
@@ -137,7 +140,7 @@ def test_swapping_hidden_positions_changes_only_positional_rows(rng):
     z_vis = rng.normal(size=(2, 8)).astype(np.float32)
     mask = np.array([True, False, True, False])
     with no_grad():
-        assembled = assemble_decoder_input(Tensor(z_vis), mask, decoder).data
+        assembled = assemble_decoder_input(Tensor(z_vis[None]), mask[None], decoder).data[0]
     pe = positional_encoding(4, 8)
     stripped = assembled - pe
     assert np.allclose(stripped[0], stripped[2], atol=1e-6)
@@ -146,24 +149,24 @@ def test_swapping_hidden_positions_changes_only_positional_rows(rng):
 def test_decode_full_no_hidden(rng):
     backbone, decoder = tiny_model()
     mask = np.zeros(4, dtype=bool)
-    z_vis = Tensor(rng.normal(size=(4, 8)).astype(np.float32))
+    z_vis = Tensor(rng.normal(size=(1, 4, 8)).astype(np.float32))
     with no_grad():
-        out = decode_full(z_vis, mask, decoder)
-    assert out.shape == (4, 8)
+        out = decode_full(z_vis, mask[None], decoder)
+    assert out.shape == (1, 4, 8)
 
 
 def test_decode_full_output_shape(rng):
     backbone, decoder = tiny_model()
     mask = np.array([True, True, False, True])
     with no_grad():
-        out = decode_full(Tensor(rng.normal(size=(1, 8)).astype(np.float32)), mask, decoder)
-    assert out.shape == (4, 8)
+        out = decode_full(Tensor(rng.normal(size=(1, 1, 8)).astype(np.float32)), mask[None], decoder)
+    assert out.shape == (1, 4, 8)
 
 
 def test_stacked_views_match_single_view_calls(rng):
     with use_dtype(np.float64):
         backbone, decoder = tiny_model()
-        masks = sample_masks(4, MaskConfig(0.5, 3, rng_seed=1)).masks      # (3, 4)
+        masks = sample_masks(4, MaskConfig(0.5, 3, rng_seed=1))             # (3, 4)
         hidden = np.stack([np.flatnonzero(m) for m in masks])
         tokens = rng.normal(size=(3, 4, 8))
         target = rng.normal(size=(3, 4, 8))
@@ -173,35 +176,35 @@ def test_stacked_views_match_single_view_calls(rng):
             loss = masked_mse(dec, target, hidden)
             singles = []
             for i in range(3):
-                z_i = encode_visible(Tensor(tokens[i]), masks[i], backbone)
-                dec_i = decode_full(z_i, masks[i], decoder)
-                assert np.array_equal(z_vis.data[i], z_i.data)
-                assert np.array_equal(dec.data[i], dec_i.data)
-                singles.append(float(masked_mse(dec_i, target[i], hidden[i]).data))
+                z_i = encode_visible(Tensor(tokens[i][None]), masks[i][None], backbone)
+                dec_i = decode_full(z_i, masks[i][None], decoder)
+                assert np.array_equal(z_vis.data[i], z_i.data[0])
+                assert np.array_equal(dec.data[i], dec_i.data[0])
+                singles.append(float(masked_mse(dec_i, target[i][None], hidden[i][None]).data))
     assert z_vis.shape == (3, 2, 8) and dec.shape == (3, 4, 8)
     assert float(loss.data) == pytest.approx(np.mean(singles), rel=1e-12)
 
 
 def test_masked_view_representation_composition(rng):
     backbone, decoder = tiny_model()
-    x = Tensor(rng.normal(size=(2, 32)).astype(np.float32))
+    x = Tensor(rng.normal(size=(1, 2, 32)).astype(np.float32))
     mask = np.array([True, False, True, True])
     with no_grad():
-        direct = masked_view_representation(x, mask, backbone, decoder)
+        direct = masked_view_representation(x, mask[None], backbone, decoder)
         tokens = backbone.tokens_with_pe(x)
-        manual = ops.mean_pool(decode_full(encode_visible(tokens, mask, backbone),
-                                           mask, decoder))
-    assert direct.shape == (8,)
+        manual = ops.mean_pool(decode_full(encode_visible(tokens, mask[None], backbone),
+                                           mask[None], decoder))
+    assert direct.shape == (1, 8)
     assert np.array_equal(direct.data, manual.data)
 
 
 def test_all_visible_pipeline_equals_plain_encoder(rng):
     backbone, _ = tiny_model()
-    x = Tensor(rng.normal(size=(2, 32)).astype(np.float32))
+    x = Tensor(rng.normal(size=(1, 2, 32)).astype(np.float32))
     mask = np.zeros(4, dtype=bool)
     with no_grad():
         tokens = backbone.tokens_with_pe(x)
-        via_mask = ops.mean_pool(encode_visible(tokens, mask, backbone))
+        via_mask = ops.mean_pool(encode_visible(tokens, mask[None], backbone))
         plain = ops.mean_pool(backbone.encode(tokens))
     assert np.allclose(via_mask.data, plain.data, atol=1e-6)
 
@@ -391,7 +394,7 @@ def test_lof_stacked_matches_per_sample_composition(rng):
         backbone, decoder = tiny_model()
         b, n = 3, 2
         xs = rng.normal(size=(b, 2, 32))
-        masks = [sample_masks(4, MaskConfig(0.8, n, rng_seed=j)) for j in range(b)]
+        masks = np.stack([sample_masks(4, MaskConfig(0.8, n, rng_seed=j)) for j in range(b)])
         cfg = TCRConfig(lam=7.0)
         with no_grad():
             loss, _ = lof_loss(Tensor(xs), backbone, decoder, MaskConfig(0.8, n),
@@ -400,12 +403,12 @@ def test_lof_stacked_matches_per_sample_composition(rng):
             full = []
             views = np.zeros((n, b, 8))
             for j in range(b):
-                x = Tensor(xs[j])
+                x = Tensor(xs[j][None])
                 tokens = backbone.tokens_with_pe(x)
-                full.append(ops.mean_pool(backbone.encode(tokens)).data)
+                full.append(ops.mean_pool(backbone.encode(tokens)).data[0])
                 for i in range(n):
                     views[i, j] = masked_view_representation(
-                        x, masks[j].masks[i], backbone, decoder).data
+                        x, masks[j, i][None], backbone, decoder).data[0]
             cos_total = 0.0
             for j in range(b):
                 fj = full[j] / np.linalg.norm(full[j])
@@ -424,7 +427,7 @@ def test_lof_loss_grads_match_finite_differences(rng):
     with use_dtype(np.float64):
         backbone, decoder = tiny_model()
         x = rng.normal(size=(2, 2, 32))
-        masks = [sample_masks(4, MaskConfig(0.5, 2, rng_seed=j)) for j in range(2)]
+        masks = np.stack([sample_masks(4, MaskConfig(0.5, 2, rng_seed=j)) for j in range(2)])
         cfg = TCRConfig(lam=10.0)
 
         def value():
@@ -443,7 +446,7 @@ def test_lof_lambda_target_switch(rng):
     with use_dtype(np.float64):
         backbone, decoder = tiny_model()
         xs = rng.normal(size=(2, 2, 32))
-        masks = [sample_masks(4, MaskConfig(0.8, 2, rng_seed=j)) for j in range(2)]
+        masks = np.stack([sample_masks(4, MaskConfig(0.8, 2, rng_seed=j)) for j in range(2)])
         with no_grad():
             on_sim, m1 = lof_loss(Tensor(xs), backbone, decoder, MaskConfig(0.8, 2),
                                   TCRConfig(lam=10.0, lambda_target="sim"),
@@ -462,7 +465,7 @@ def test_lof_loss_decreases_over_optimization(rng):
     tcrcfg = TCRConfig(lam=10.0)
     optim = AdamW(_pretrain_params(backbone, decoder),
                   OptimConfig(learning_rate=2e-3, epochs=1, batch_size=8))
-    masks = [sample_masks(4, MaskConfig(0.8, 4, rng_seed=j)) for j in range(8)]
+    masks = np.stack([sample_masks(4, MaskConfig(0.8, 4, rng_seed=j)) for j in range(8)])
     first = None
     last = None
     for step in range(50):
@@ -483,20 +486,20 @@ def test_lof_loss_decreases_over_optimization(rng):
 def test_masked_mse_perfect_reconstruction_is_zero(rng):
     target = rng.normal(size=(4, 8)).astype(np.float32)
     hidden = np.array([1, 3])
-    loss = masked_mse(Tensor(target.copy()), target, hidden)
+    loss = masked_mse(Tensor(target[None].copy()), target[None], hidden[None])
     assert float(loss.data) == 0.0
 
 
 def test_masked_mse_empty_hidden_is_zero(rng):
     target = rng.normal(size=(4, 8)).astype(np.float32)
-    loss = masked_mse(Tensor(target + 1.0), target, np.array([], dtype=np.int64))
+    loss = masked_mse(Tensor(target[None] + 1.0), target[None], np.zeros((1, 0), dtype=np.int64))
     assert float(loss.data) == 0.0
 
 
 def test_mae_recon_all_visible_is_zero(rng):
     backbone, decoder = tiny_model(with_recon_head=True)
     x = Tensor(rng.normal(size=(2, 2, 32)).astype(np.float32))
-    masks = [np.zeros(4, dtype=bool), np.zeros(4, dtype=bool)]
+    masks = np.zeros((2, 4), dtype=bool)
     loss = mae_recon_loss(x, backbone, decoder, MaskConfig(0.8, 1), masks=masks,
                           training=False)
     assert float(loss.data) == 0.0
@@ -513,19 +516,19 @@ def test_mae_recon_matches_loop_oracle(rng):
     with use_dtype(np.float64):
         backbone, decoder = tiny_model(with_recon_head=True)
         xs = rng.normal(size=(2, 2, 32))
-        masks = [np.array([True, False, True, False]),
-                 np.array([False, True, True, False])]
+        masks = np.array([[True, False, True, False],
+                          [False, True, True, False]])
         with no_grad():
             loss = mae_recon_loss(Tensor(xs), backbone, decoder, MaskConfig(0.8, 1),
                                   masks=masks, training=False)
             # oracle: per-sample forward, masked squared error over hidden entries
             total, count = 0.0, 0
             for j in range(2):
-                x = Tensor(xs[j])
-                target = backbone.patcher(x).data
+                x = Tensor(xs[j][None])
+                target = backbone.patcher(x).data[0]
                 tokens = backbone.tokens_with_pe(x)
-                z_vis = encode_visible(tokens, masks[j], backbone)
-                recon = decoder.recon_head(decode_full(z_vis, masks[j], decoder)).data
+                z_vis = encode_visible(tokens, masks[j][None], backbone)
+                recon = decoder.recon_head(decode_full(z_vis, masks[j][None], decoder)).data[0]
                 hidden = np.flatnonzero(masks[j])
                 total += ((recon[hidden] - target[hidden]) ** 2).sum()
                 count += hidden.size * 8
@@ -538,7 +541,7 @@ def test_mae_recon_grads_match_finite_differences(rng):
     with use_dtype(np.float64):
         backbone, decoder = tiny_model(with_recon_head=True)
         x = rng.normal(size=(3, 2, 32))
-        masks = list(sample_masks(4, MaskConfig(0.5, 3, rng_seed=2)).masks)
+        masks = sample_masks(4, MaskConfig(0.5, 3, rng_seed=2))
 
         def value():
             return mae_recon_loss(Tensor(x), backbone, decoder, MaskConfig(0.5, 1),
@@ -554,10 +557,29 @@ def test_mae_recon_grads_match_finite_differences(rng):
 def test_stacked_masks_hiding_different_counts_name_the_mask(rng):
     backbone, decoder = tiny_model(with_recon_head=True)
     x = Tensor(rng.normal(size=(3, 2, 32)).astype(np.float32))
-    masks = [np.array([True, False, True, False]), np.array([False, True, True, False]),
-             np.array([True, False, False, False])]
+    masks = np.array([[True, False, True, False], [False, True, True, False],
+                      [True, False, False, False]])
     with pytest.raises(ShapeError, match="mask 2 hides 1"):
         mae_recon_loss(x, backbone, decoder, MaskConfig(0.8, 1), masks=masks)
     tokens = Tensor(rng.normal(size=(3, 4, 8)).astype(np.float32))
     with pytest.raises(ShapeError, match="mask 2"):
-        encode_visible(tokens, np.stack(masks), backbone)
+        encode_visible(tokens, masks, backbone)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 4), (2, 2, 5), (2, 3, 4), (2, 4)],
+                         ids=["batch", "patches", "count", "rank"])
+def test_lof_loss_rejects_masks_of_the_wrong_shape(rng, shape):
+    backbone, decoder = tiny_model()
+    x = Tensor(rng.normal(size=(2, 2, 32)).astype(np.float32))
+    with pytest.raises(ShapeError, match=r"must have shape \(2, 2, 4\)"):
+        lof_loss(x, backbone, decoder, MaskConfig(0.5, 2), TCRConfig(),
+                 masks=np.zeros(shape, dtype=bool), training=False)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 5), (2, 1, 4)], ids=["batch", "patches", "rank"])
+def test_mae_recon_rejects_masks_of_the_wrong_shape(rng, shape):
+    backbone, decoder = tiny_model(with_recon_head=True)
+    x = Tensor(rng.normal(size=(2, 2, 32)).astype(np.float32))
+    with pytest.raises(ShapeError, match=r"must have shape \(2, 4\)"):
+        mae_recon_loss(x, backbone, decoder, MaskConfig(0.5, 1),
+                       masks=np.zeros(shape, dtype=bool), training=False)

@@ -27,7 +27,7 @@ def test_conv_output_length_formula():
 
 
 def test_conv1d_unit_impulse_is_identity(rng):
-    x = Tensor(rng.normal(size=(1, 12)).astype(np.float32))
+    x = Tensor(rng.normal(size=(1, 1, 12)).astype(np.float32))
     kernel = Tensor(np.ones((1, 1, 1), dtype=np.float32))
     out = ops.conv1d(x, kernel, stride=1, padding=0)
     assert np.allclose(out.data, x.data)
@@ -37,24 +37,27 @@ def test_conv1d_matches_sliding_window_oracle(rng):
     with use_dtype(np.float64):
         x = rng.normal(size=(1, 12))
         w = rng.normal(size=(2, 1, 3))
-        out = ops.conv1d(Tensor(x), Tensor(w), stride=1, padding=0)
+        out = ops.conv1d(Tensor(x[None]), Tensor(w), stride=1, padding=0).data[0]
         expect = np.zeros((2, 10))
         for c in range(2):
             for o in range(10):
                 expect[c, o] = (x[0, o : o + 3] * w[c, 0]).sum()
-        assert np.array_equal(out.data, expect) or np.allclose(out.data, expect, rtol=1e-15)
+        assert np.array_equal(out, expect) or np.allclose(out, expect, rtol=1e-15)
 
 
 def test_conv1d_too_short_raises():
-    x = Tensor(np.zeros((1, 4)))
+    x = Tensor(np.zeros((1, 1, 4)))
     w = Tensor(np.zeros((1, 1, 8)))
     with pytest.raises(InputTooShortError):
         ops.conv1d(x, w, stride=1, padding=0)
 
 
 def test_conv1d_channel_mismatch():
-    with pytest.raises(ShapeError):
-        ops.conv1d(Tensor(np.zeros((2, 10))), Tensor(np.zeros((3, 1, 3))))
+    with pytest.raises(ShapeError, match="channel mismatch"):
+        ops.conv1d(Tensor(np.zeros((1, 2, 10))), Tensor(np.zeros((3, 1, 3))))
+    # Batch-only: one unbatched (c_in, t) series is rejected, not lifted.
+    with pytest.raises(ShapeError, match=r"\(b, c_in, t\)"):
+        ops.conv1d(Tensor(np.zeros((1, 10))), Tensor(np.zeros((3, 1, 3))))
 
 
 def test_conv1d_grads_match_finite_differences(rng):
@@ -119,10 +122,10 @@ def test_conv1d_length_formula_property(t, k, s, pad):
     t_out = (t + 2 * pad - k) // s + 1
     if t_out < 1:
         return
-    x = Tensor(np.zeros((1, t), dtype=np.float32))
+    x = Tensor(np.zeros((1, 1, t), dtype=np.float32))
     w = Tensor(np.zeros((1, 1, k), dtype=np.float32))
     out = ops.conv1d(x, w, stride=s, padding=pad)
-    assert out.shape == (1, t_out)
+    assert out.shape == (1, 1, t_out)
 
 
 @pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "grad"])
@@ -138,8 +141,8 @@ def test_linear_and_conv1d_rows_bit_equal_to_items_run_alone(rng, grad):
             assert np.array_equal(rows, alone), f"linear, {n} rows"
         xs = rng.normal(size=(10, 3, 129)).astype(np.float32)
         rows = ops.conv1d(Tensor(xs), conv_w, conv_b, stride=2, padding=3).data
-        alone = np.stack([ops.conv1d(Tensor(xs[i]), conv_w, conv_b, stride=2, padding=3).data
-                          for i in range(10)])
+        alone = np.concatenate([ops.conv1d(Tensor(xs[i][None]), conv_w, conv_b, stride=2,
+                                           padding=3).data for i in range(10)])
         assert np.array_equal(rows, alone), "conv1d"
 
 
@@ -196,6 +199,13 @@ def test_batchnorm_degenerate_batch_raises():
     gamma, beta, rm, rv = _bn_state(2)
     with pytest.raises(DegenerateBatchError):
         ops.batchnorm1d(Tensor(np.zeros((1, 2, 1))), gamma, beta, rm, rv, 0.1, 1e-5, True)
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_batchnorm_rejects_unbatched_input(training):
+    gamma, beta, rm, rv = _bn_state(2)
+    with pytest.raises(ShapeError, match=r"\(b, c, t\)"):
+        ops.batchnorm1d(Tensor(np.zeros((2, 5))), gamma, beta, rm, rv, 0.1, 1e-5, training)
 
 
 def test_batchnorm_grad_matches_finite_differences(rng):

@@ -164,14 +164,14 @@ def test_mean_and_sum_axis_grads():
 
 def test_take_rows_2d_and_3d():
     with use_dtype(np.float64):
-        x = parameter(np.arange(12.0).reshape(4, 3))
+        x = parameter(np.arange(12.0).reshape(1, 4, 3))
         idx = np.array([2, 0, 2])
-        out = T.take_rows(x, idx)
-        assert np.array_equal(out.data, x.data[idx])
+        out = T.take_rows(x, idx[None])
+        assert np.array_equal(out.data[0], x.data[0, idx])
         out.sum().backward()
-        expect = np.zeros((4, 3))
-        expect[2] = 2.0
-        expect[0] = 1.0
+        expect = np.zeros((1, 4, 3))
+        expect[0, 2] = 2.0
+        expect[0, 0] = 1.0
         assert np.array_equal(x.grad, expect)
 
         xb = parameter(np.arange(24.0).reshape(2, 4, 3))
@@ -180,19 +180,30 @@ def test_take_rows_2d_and_3d():
         assert outb.shape == (2, 2, 3)
         assert np.array_equal(outb.data[1, 1], xb.data[1, 3])
 
+        # Batch-only: an unbatched (p, d) tensor or a batch-count mismatch is rejected.
+        with pytest.raises(ShapeError, match="take_rows"):
+            T.take_rows(Tensor(x.data[0]), idx)
+        with pytest.raises(ShapeError, match="take_rows"):
+            T.take_rows(xb, idxb[:1])
+
 
 def test_scatter_rows_roundtrip():
     with use_dtype(np.float64):
-        v = parameter(np.arange(6.0).reshape(2, 3))
-        idx = np.array([3, 1])
+        v = parameter(np.arange(6.0).reshape(1, 2, 3))
+        idx = np.array([[3, 1]])
         placed = T.scatter_rows(v, idx, 5)
-        assert placed.shape == (5, 3)
-        assert np.array_equal(placed.data[3], v.data[0])
-        assert np.array_equal(placed.data[0], np.zeros(3))
+        assert placed.shape == (1, 5, 3)
+        assert np.array_equal(placed.data[0, 3], v.data[0, 0])
+        assert np.array_equal(placed.data[0, 0], np.zeros(3))
         back = T.take_rows(placed, idx)
         assert np.array_equal(back.data, v.data)
         back.sum().backward()
-        assert np.array_equal(v.grad, np.ones((2, 3)))
+        assert np.array_equal(v.grad, np.ones((1, 2, 3)))
+
+        with pytest.raises(ShapeError, match="scatter_rows"):
+            T.scatter_rows(Tensor(v.data[0]), idx[0], 5)
+        with pytest.raises(ShapeError, match="scatter_rows"):
+            T.scatter_rows(v, idx[:, :1], 5)
 
 
 def test_pick_selects_and_scatters_grad():
