@@ -381,6 +381,14 @@ def cmd_export_embeddings(cfg: dict, args) -> int:
 
 
 def cmd_ablate(cfg: dict, args) -> int:
+    # An empty grid or a value that no grid point can use fails here, once;
+    # a count the data cannot supply (C(p, h) < N) fails only its own point.
+    for key, check in (("mask_counts", lambda v: MaskConfig(count=v)),
+                       ("mask_ratios", lambda v: MaskConfig(ratio=v))):
+        if not cfg[key]:
+            raise ConfigError(f"bad value for {key}: the list is empty")
+        for value in cfg[key]:
+            _parse_key(key, check, value)
     ds = _load_any_dataset(args.data)
     grid: list[tuple[int, float]] = []
     for n in cfg["mask_counts"]:

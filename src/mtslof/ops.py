@@ -23,10 +23,7 @@ from .tensor import (
     _tracking,
     accumulate,
     as_tensor,
-    matmul,
     reshape,
-    swapaxes,
-    unbroadcast,
 )
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
@@ -62,6 +59,32 @@ def _gemm_blocks(a: np.ndarray, w: np.ndarray) -> np.ndarray:
         block[:n - full] = a[full:]
         out[full:] = (block.reshape(m * r, k) @ w).reshape(m, r, cols)[:n - full]
     return out
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, kept with length one, as fixed-shape GEMMs.
+
+    numpy's reduce is slow on a short last axis; a product with a ones
+    column through `_gemm_blocks` is not, and each row's sum is the same
+    bits in any batch.
+    """
+    d = x.shape[-1]
+    ones = np.ones((d, 1), dtype=x.dtype)
+    return _gemm_blocks(x.reshape(-1, 1, d), ones).reshape(x.shape[:-1] + (1,))
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Maximum over the last axis, kept with length one: a pairwise np.maximum tree (exact)."""
+    while x.shape[-1] > 1:
+        half = x.shape[-1] // 2
+        top = np.maximum(x[..., :half], x[..., half:2 * half])
+        x = top if x.shape[-1] % 2 == 0 else np.concatenate((top, x[..., -1:]), axis=-1)
+    return x
+
+
+def _col_sum(g: np.ndarray) -> np.ndarray:
+    """(n, d) -> (d,): the sum over rows, as one ones-vector product."""
+    return (np.ones((1, g.shape[0]), dtype=g.dtype) @ g)[0]
 
 
 def conv_output_length(t: int, kernel: int, stride: int, padding: int) -> int:
@@ -145,7 +168,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if weight.requires_grad:
             accumulate(weight, g2.T @ x2)
         if bias.requires_grad:
-            accumulate(bias, g2.sum(axis=0))
+            accumulate(bias, _col_sum(g2))
         if x.requires_grad:
             accumulate(x, (g2 @ weight.data).reshape(x.data.shape))
 
@@ -244,34 +267,59 @@ def gelu(x: Tensor) -> Tensor:
     return _from_op(data, (x,), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along `axis`; slices sum to one."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over the last axis."""
+    e = np.exp(x - _row_max(x))
+    return e / _row_sum(e)
+
+
+def _softmax_rows_vjp(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the logits of softmax weights `w` receiving `g`: w (g - sum(g w))."""
+    return w * (g - _row_sum(g * w))
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Max-subtracted softmax over the last axis; rows sum to one."""
+    data = _softmax_rows(x.data)
     if not _tracking(x):
         return _const(data)
 
     def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        accumulate(x, data * (g - dot))
+        accumulate(x, _softmax_rows_vjp(data, g))
 
     return _from_op(data, (x,), backward)
 
 
-def _moments(x: np.ndarray, axes, eps: float):
+def _moments(x: np.ndarray, axes: tuple[int, ...], eps: float):
     """Mean, variance, inv = 1 / sqrt(var + eps) and x_hat = (x - mean) * inv
-    over `axes`; the reduced axes are kept with length one."""
-    mu = x.mean(axis=axes, keepdims=True)
-    var = x.var(axis=axes, keepdims=True)
+    over the non-negative `axes`; the reduced axes are kept with length one.
+
+    Over the last axis alone the sums are `_row_sum`s, so each row is the
+    same bits in any batch.
+    """
+    if axes == (x.ndim - 1,):
+        d = x.shape[-1]
+        mu = _row_sum(x) / d
+        centered = x - mu
+        var = _row_sum(centered * centered) / d
+    else:
+        mu = x.mean(axis=axes, keepdims=True)
+        centered = x - mu
+        var = x.var(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    return mu, var, inv, (x - mu) * inv
+    return mu, var, inv, centered * inv
 
 
-def _moments_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, axes) -> np.ndarray:
+def _moments_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                      axes: tuple[int, ...]) -> np.ndarray:
     """Gradient at x of x_hat, through the moments: inv (g - mean g - x_hat mean(g x_hat))."""
-    gm = g.mean(axis=axes, keepdims=True)
-    gy = (g * xhat).mean(axis=axes, keepdims=True)
+    if axes == (g.ndim - 1,):
+        d = g.shape[-1]
+        gm = _row_sum(g) / d
+        gy = _row_sum(g * xhat) / d
+    else:
+        gm = g.mean(axis=axes, keepdims=True)
+        gy = (g * xhat).mean(axis=axes, keepdims=True)
     return inv * (g - gm - xhat * gy)
 
 
@@ -293,19 +341,22 @@ def normalize_moments(x: Tensor, axes, eps: float) -> Tensor:
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-slice normalization over the last (feature) axis with learnable scale/shift."""
-    _, _, inv, xhat = _moments(x.data, -1, eps)
+    """Per-slice normalization over the last (feature) axis with learnable
+    (d,) scale and shift."""
+    axes = (x.data.ndim - 1,)
+    d = x.data.shape[-1]
+    _, _, inv, xhat = _moments(x.data, axes, eps)
     data = xhat * scale.data + shift.data
     if not _tracking(x, scale, shift):
         return _const(data)
 
     def backward(g):
         if scale.requires_grad:
-            accumulate(scale, unbroadcast(g * xhat, scale.data.shape))
+            accumulate(scale, _col_sum((g * xhat).reshape(-1, d)).reshape(scale.data.shape))
         if shift.requires_grad:
-            accumulate(shift, unbroadcast(g, shift.data.shape))
+            accumulate(shift, _col_sum(g.reshape(-1, d)).reshape(shift.data.shape))
         if x.requires_grad:
-            accumulate(x, _moments_backward(g * scale.data, xhat, inv, -1))
+            accumulate(x, _moments_backward(g * scale.data, xhat, inv, axes))
 
     return _from_op(data, (x, scale, shift), backward)
 
@@ -340,7 +391,7 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Scale the last axis to unit Euclidean norm; near-zero inputs divide by eps."""
-    norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
+    norm = np.sqrt(_row_sum(x.data * x.data))
     safe = norm > eps
     denom = np.where(safe, norm, eps)
     data = x.data / denom
@@ -348,7 +399,7 @@ def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
         return _const(data)
 
     def backward(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
+        dot = _row_sum(g * data)
         gx = np.where(safe, (g - data * dot) / denom, g / eps)
         accumulate(x, gx)
 
@@ -390,17 +441,32 @@ def mean_pool(z: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False):
-    """Scaled dot-product attention over all positions.
+    """Scaled dot-product attention over all positions, as one graph node.
 
     Operates on (..., p, d_k) stacks; weights are softmax(q k^T / sqrt(d_k)).
+    With `return_weights` the weights come back too, as a constant tensor.
+    Backward keeps only the weights and rebuilds the rest from q, k and v.
     """
-    d_k = q.data.shape[-1]
-    scores = matmul(q, swapaxes(k, -1, -2)) * float(1.0 / np.sqrt(d_k))
-    weights = softmax(scores, axis=-1)
-    out = matmul(weights, v)
-    if return_weights:
-        return out, weights
-    return out
+    scale = float(1.0 / np.sqrt(q.data.shape[-1]))
+    scores = q.data @ np.swapaxes(k.data, -1, -2)
+    scores *= scale
+    weights = _softmax_rows(scores)
+    data = weights @ v.data
+    out = _const(data)
+    if _tracking(q, k, v):
+        def backward(g):
+            if v.requires_grad:
+                accumulate(v, np.swapaxes(weights, -1, -2) @ g)
+            if q.requires_grad or k.requires_grad:
+                gs = _softmax_rows_vjp(weights, g @ np.swapaxes(v.data, -1, -2))
+                gs *= scale
+                if q.requires_grad:
+                    accumulate(q, gs @ k.data)
+                if k.requires_grad:
+                    accumulate(k, np.swapaxes(gs, -1, -2) @ q.data)
+
+        out = _from_op(data, (q, k, v), backward)
+    return (out, _const(weights)) if return_weights else out
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:

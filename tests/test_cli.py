@@ -348,6 +348,23 @@ def test_ablate_unusable_architecture_fails_once_without_csv(workdir, tmp_path, 
     assert "grid point" not in err
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--mask-ratios", "0.8,1.5", "mask_ratios"),
+    ("--mask-counts", "1,0", "mask_counts"),
+    ("--mask-counts", ",", "mask_counts"),
+], ids=["ratio", "count", "empty"])
+def test_ablate_unusable_grid_value_rejected_once_without_csv(workdir, tmp_path, capsys,
+                                                              flag, value, key):
+    out = tmp_path / "abl_grid.csv"
+    code = main(["ablate", "--data", workdir["data"], "--out", str(out),
+                 "--seed", "2019", "--epochs", "1", *TINY, flag, value])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count(f"error: bad value for {key}: ") == 1
+    assert "grid point" not in err
+
+
 def test_ablate_infeasible_mask_count_fails_only_its_point(workdir, tmp_path, capsys):
     out = str(tmp_path / "abl_point.csv")
     code = main(["ablate", "--data", workdir["data"], "--out", out,

@@ -146,6 +146,51 @@ def test_linear_and_conv1d_rows_bit_equal_to_items_run_alone(rng, grad):
         assert np.array_equal(rows, alone), "conv1d"
 
 
+# -- row reductions -------------------------------------------------------
+
+
+def test_row_max_bit_equal_to_numpy_max(rng):
+    for width in (1, 2, 3, 5, 7, 8, 16, 17, 31, 32, 33):
+        x = rng.normal(size=(3, 5, width)).astype(np.float32)
+        assert np.array_equal(ops._row_max(x), x.max(axis=-1, keepdims=True)), width
+
+
+def test_row_sum_within_ulp_bound_of_numpy_sum(rng):
+    # Both sums are within (d - 1) eps/2 sum|x| of the exact one, so they lie
+    # within (d - 1) eps sum|x| of each other. On non-negative rows that
+    # bound is loose: the measured gap is at most 2 ulp, and 4 is asserted.
+    eps = np.finfo(np.float32).eps
+    for width in (1, 2, 3, 7, 16, 17, 32, 33, 64, 129):
+        x = rng.normal(size=(300, width)).astype(np.float32)
+        got, ref = ops._row_sum(x), x.sum(axis=-1, keepdims=True)
+        assert got.shape == ref.shape and got.dtype == np.float32
+        bound = (width - 1) * eps * np.abs(x).astype(np.float64).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(got.astype(np.float64) - ref) <= bound), width
+        pos = np.abs(x)
+        ulps = (ops._row_sum(pos).view(np.int32).astype(np.int64)
+                - pos.sum(axis=-1, keepdims=True).view(np.int32))
+        assert np.abs(ulps).max() <= 4, width
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "grad"])
+def test_row_ops_rows_bit_equal_to_rows_run_alone(rng, grad):
+    # 300 rows cross a 256-row GEMM block of _row_sum without filling the last one.
+    scale, shift = parameter(rng.uniform(0.5, 1.5, 32)), parameter(rng.normal(size=32))
+    row_ops = {
+        "_row_sum": lambda x: ops._row_sum(x.data),
+        "softmax": lambda x: ops.softmax(x).data,
+        "layer_norm": lambda x: ops.layer_norm(x, scale, shift).data,
+        "l2_normalize": lambda x: ops.l2_normalize(x).data,
+    }
+    with contextlib.nullcontext() if grad else no_grad():
+        for n in (1, 2, 300):
+            x = rng.normal(size=(n, 32)).astype(np.float32)
+            for name, f in row_ops.items():
+                rows = f(parameter(x))
+                alone = np.concatenate([f(parameter(x[i:i + 1])) for i in range(n)])
+                assert np.array_equal(rows, alone), f"{name}, {n} rows"
+
+
 # -- batchnorm ----------------------------------------------------------
 
 
@@ -582,6 +627,25 @@ def test_attention_weights_row_stochastic(rng):
                                  return_weights=True)
     assert np.all(weights.data >= 0)
     assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-6)
+
+
+def test_attention_is_one_node_on_q_k_v(rng):
+    q, k, v = (parameter(rng.normal(size=(2, 3, 5, 4))) for _ in range(3))
+    out, weights = ops.attention(q, k, v, return_weights=True)
+    assert len(out._parents) == 3
+    assert all(p is t for p, t in zip(out._parents, (q, k, v)))
+    assert not weights.requires_grad
+
+
+def test_attention_return_weights_match_numpy_reference(rng):
+    q, k, v = (rng.normal(size=(2, 3, 6, 4)).astype(np.float32) for _ in range(3))
+    out, weights = ops.attention(Tensor(q), Tensor(k), Tensor(v), return_weights=True)
+    scores = q.astype(np.float64) @ np.swapaxes(k, -1, -2) / 2.0
+    expect = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    expect /= expect.sum(axis=-1, keepdims=True)
+    assert weights.data.dtype == np.float32
+    assert np.allclose(weights.data, expect, rtol=1e-5, atol=1e-6)
+    assert np.allclose(out.data, expect @ v, rtol=1e-5, atol=1e-6)
 
 
 def test_attention_grads_match_finite_differences(rng):
