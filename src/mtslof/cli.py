@@ -25,6 +25,7 @@ from .data import (
     SplitSpec,
     SyntheticConfig,
     _atomic_write,
+    first_non_utf8,
     generate_synthetic,
     load_csv,
     load_dataset,
@@ -142,8 +143,14 @@ def resolve_config(config_path: str | None, args: argparse.Namespace) -> dict:
     """defaults <- config file <- flags; unknown keys are rejected."""
     cfg = {key: default for key, (default, _, _) in SCHEMA.items()}
     if config_path:
-        with open(config_path) as fh:
-            for lineno, line in enumerate(fh, start=1):
+        with open(config_path, encoding="utf-8") as fh:
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError:
+                line, offset, byte = first_non_utf8(config_path)
+                raise ConfigError(f"{config_path}:{line}: byte {byte:#04x} at offset {offset} "
+                                  "is not UTF-8") from None
+            for lineno, line in enumerate(lines, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue

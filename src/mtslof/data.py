@@ -242,12 +242,30 @@ def load_dataset(path: str) -> Dataset:
     return Dataset(samples, labels, c, name=os.path.basename(path))
 
 
+def first_non_utf8(path: str) -> tuple[int, int, int]:
+    """(line, byte offset, byte value) of the first byte of a file that is not
+    UTF-8; called once reading it as UTF-8 text has failed."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return blob.count(b"\n", 0, exc.start) + 1, exc.start, blob[exc.start]
+    raise DataFormatError(f"{path}: changed while it was read")
+
+
 def load_csv(path: str) -> Dataset:
     """Single-channel CSV import: one sample per line, integer label last."""
     rows = []
     labels = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            line, offset, byte = first_non_utf8(path)
+            raise DataFormatError(f"{path}: line {line}: byte {byte:#04x} is not UTF-8",
+                                  offset=offset) from None
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

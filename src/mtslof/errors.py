@@ -48,3 +48,7 @@ class DataFormatError(MtslofError):
 
 class CheckpointMismatchError(MtslofError):
     """A checkpoint tensor does not match the model it is loaded into."""
+
+
+class WorkerError(MtslofError):
+    """A worker process died, or failed with an error that is not an MtslofError."""

@@ -10,15 +10,33 @@ collapsing.
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import ops
+from . import ops, parallel
 from .backbone import Backbone, EncoderConfig, Linear, TransformerEncoder, positional_encoding, trunc_normal
-from .errors import ConfigError, NumericError, ShapeError
-from .tensor import Tensor, as_tensor, expand, parameter, reshape, scatter_rows, swapaxes, take_rows
+from .errors import ConfigError, GraphConsumedError, NumericError, ShapeError
+from .tensor import (
+    Tensor,
+    _const,
+    _from_op,
+    _run_backward,
+    _tracking,
+    accumulate,
+    as_tensor,
+    expand,
+    no_grad,
+    parameter,
+    reshape,
+    scatter_rows,
+    swapaxes,
+    take_rows,
+)
 
 
 @dataclass
@@ -66,29 +84,44 @@ def hidden_count(p: int, ratio: float) -> int:
     return min(max(h, 1), p - 1)
 
 
-def sample_masks(p: int, cfg: MaskConfig, rng: np.random.Generator | None = None) -> np.ndarray:
+def _hide_first(keys: np.ndarray, h: int) -> np.ndarray:
+    """Masks hiding, per row of uniform keys, the positions of its h smallest."""
+    masks = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(masks, np.argsort(keys, axis=-1)[:, :h], True, axis=-1)
+    return masks
+
+
+def sample_masks(p: int, cfg: MaskConfig, rng: np.random.Generator | None = None,
+                 batch: int | None = None) -> np.ndarray:
     """N distinct uniform h-subsets of positions as an (N, p) bool array, True
-    marking a hidden patch; a repeated draw is redrawn."""
+    marking a hidden patch; with `batch`, a (batch, N, p) array holding N
+    distinct masks per sample.
+
+    One uniform (batch * N, p) block is argsorted and each row hides its
+    first h positions. A mask that repeats an earlier mask of its sample is
+    redrawn, and only those.
+    """
     if p < 2:
         raise ConfigError(f"masking needs at least 2 patch positions, got {p}")
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     h = hidden_count(p, cfg.ratio)
     limit = math.comb(p, h)
-    if cfg.count > limit:
-        raise ConfigError(
-            f"{cfg.count} distinct masks requested but only C({p},{h})={limit} exist"
-        )
-    masks = np.zeros((cfg.count, p), dtype=bool)
-    seen: set[frozenset[int]] = set()
-    for _ in range(1000 * cfg.count + 1000):
-        pick = frozenset(rng.choice(p, size=h, replace=False).tolist())
-        if pick not in seen:
-            masks[len(seen), list(pick)] = True
-            seen.add(pick)
-            if len(seen) == cfg.count:
-                return masks
-    raise ConfigError(f"mask sampling failed to find {cfg.count} distinct masks")
+    n = cfg.count
+    if n > limit:
+        raise ConfigError(f"{n} distinct masks requested but only C({p},{h})={limit} exist")
+    b = 1 if batch is None else batch
+    masks = _hide_first(rng.random((b * n, p)), h)
+    sample = np.repeat(np.arange(b), n)[:, None]
+    for _ in range(1000 * n + 1000):
+        keys = np.concatenate([sample, np.packbits(masks, axis=-1)], axis=-1)
+        _, first = np.unique(keys, axis=0, return_index=True)
+        redraw = np.ones(b * n, dtype=bool)
+        redraw[first] = False
+        if not redraw.any():
+            return masks if batch is None else masks.reshape(b, n, p)
+        masks[redraw] = _hide_first(rng.random((int(redraw.sum()), p)), h)
+    raise ConfigError(f"mask sampling failed to find {n} distinct masks")
 
 
 class Decoder:
@@ -208,8 +241,9 @@ def sim_loss(z: Tensor, views: Tensor) -> Tensor:
 def _tcr_from_normalized(zn: Tensor, epsilon: float) -> Tensor:
     """Coding rate of row batches that are already unit-normalized.
 
-    Accepts (b, d) or a stack (N, b, d); returns a scalar (mean over the
-    stack). The Gram matrix is d x d: I + (d / (b * eps^2)) Z^T Z.
+    Accepts (b, d) or a stack (N, b, d); returns a scalar or one rate per
+    batch of the stack, (N,). The Gram matrix is d x d:
+    I + (d / (b * eps^2)) Z^T Z.
     """
     if zn.data.ndim not in (2, 3):
         raise ShapeError(f"the coding rate expects a (b, d) batch or an (N, b, d) stack, "
@@ -221,13 +255,13 @@ def _tcr_from_normalized(zn: Tensor, epsilon: float) -> Tensor:
     scale = d / (b * epsilon * epsilon)
     zt = swapaxes(zn, -1, -2)
     gram = zt @ zn * scale + as_tensor(np.eye(d, dtype=zn.data.dtype), zn)
-    half_logdet = ops.logdet_psd(gram) * 0.5
-    return half_logdet.mean() if zn.data.ndim == 3 else half_logdet
+    return ops.logdet_psd(gram) * 0.5
 
 
 def tcr_loss(zbatch: Tensor, cfg: TCRConfig) -> Tensor:
     """Total coding rate of a (b, d) batch, or the mean over an (N, b, d) stack."""
-    return _tcr_from_normalized(ops.l2_normalize(zbatch), cfg.epsilon)
+    rates = _tcr_from_normalized(ops.l2_normalize(zbatch), cfg.epsilon)
+    return rates.mean() if zbatch.data.ndim == 3 else rates
 
 
 def masked_mse(recon: Tensor, target: np.ndarray, hidden: np.ndarray) -> Tensor:
@@ -239,11 +273,170 @@ def masked_mse(recon: Tensor, target: np.ndarray, hidden: np.ndarray) -> Tensor:
     return (diff * diff).mean()
 
 
+# -- the masked-view branch as mask shards ----------------------------------
+#
+# The masked views are independent until the loss, and the loss is a sum
+# over masks. So the branch runs as SHARDS fixed shards of the mask axis:
+# shard 0 takes masks [0, N // 2) and shard 1 takes [N // 2, N). Each shard
+# runs on its own leaf copies of the encoder and decoder parameters, so
+# its gradients can be added into the model's in a fixed order, whether
+# it ran in this process or in a worker.
+
+SHARDS = 2
+_forward_ids = itertools.count()
+
+
+def _shard_params(backbone: Backbone, decoder: Decoder) -> list[Tensor]:
+    """The parameters a mask shard reads, in a fixed order: encoder, then decoder."""
+    return [*backbone.encoder.named_tensors("").values(), decoder.mask_token,
+            *decoder.blocks.named_tensors("").values()]
+
+
+def _shard_loss(tokens_pe: Tensor, zfn: Tensor, masks: np.ndarray, backbone: Backbone,
+                decoder: Decoder, rng: np.random.Generator | None, training: bool,
+                weights: tuple[float, float, int, float]) -> tuple[Tensor, Tensor, Tensor]:
+    """One shard's part of the objective over its (b, n_s, p) masks.
+
+    Returns the loss part -w_sim * sum(cos) / (b * N) - w_tcr * sum_m TCR_m / N,
+    the (b, n_s) cosines and the (n_s,) per-mask coding rates.
+    """
+    sim_weight, tcr_weight, n, epsilon = weights
+    b, n_s, p = masks.shape
+    d = tokens_pe.data.shape[-1]
+    mask_stack = masks.reshape(b * n_s, p)
+    # All samples and masks of the shard stacked into one batch axis.
+    tok_rep = reshape(expand(reshape(tokens_pe, (b, 1, p, d)), (b, n_s, p, d)), (b * n_s, p, d))
+    z_vis = encode_visible(tok_rep, mask_stack, backbone, training, rng)     # (b*n_s, v, d)
+    views = ops.mean_pool(decode_full(z_vis, mask_stack, decoder, training, rng))
+    # Both terms share the one normalized stack of views.
+    zn_views = reshape(ops.l2_normalize(views), (b, n_s, d))
+    cos = _cosine(zfn, zn_views)                                                # (b, n_s)
+    rates = _tcr_from_normalized(swapaxes(zn_views, 0, 1), epsilon)            # (n_s,)
+    loss = cos.sum() * (-sim_weight / (b * n)) - rates.sum() * (tcr_weight / n)
+    return loss, cos, rates
+
+
+class MaskedViewShard:
+    """The request handler of one mask shard.
+
+    It holds a replica of the encoder and decoder whose parameters are its
+    own leaves, and the graph of its last forward until that graph's
+    backward. A forward request carries the current parameter values.
+    """
+
+    def __init__(self, backbone: Backbone, decoder: Decoder):
+        # Arrays are shared, not copied: every forward rebinds them anyway.
+        arrays = [t.data for t in (*backbone.named_params().values(),
+                                   *decoder.named_params().values())]
+        arrays += list(backbone.named_buffers().values())
+        self.backbone, self.decoder = copy.deepcopy((backbone, decoder),
+                                                    {id(a): a for a in arrays})
+        self.params = _shard_params(self.backbone, self.decoder)
+        self._graph = None
+
+    def __call__(self, request):
+        kind, args = request
+        return self.forward(*args) if kind == "forward" else self.backward(*args)
+
+    def forward(self, forward_id, values, tokens_pe, zfn, masks, rng, training, grad, weights):
+        """Loss part, cosines and per-mask rates, as arrays."""
+        self._graph = None
+        for p, value in zip(self.params, values):
+            p.data = value
+            p.grad = None
+        with contextlib.nullcontext() if grad else no_grad():
+            tokens = Tensor(tokens_pe, requires_grad=grad, dtype=tokens_pe.dtype)
+            full = Tensor(zfn, requires_grad=grad, dtype=zfn.dtype)
+            loss, cos, rates = _shard_loss(tokens, full, masks, self.backbone, self.decoder,
+                                           rng, training, weights)
+        if grad:
+            self._graph = (forward_id, loss, tokens, full)
+        return loss.data, cos.data, rates.data
+
+    def backward(self, forward_id, seed):
+        """Gradients of the parameters and of the two inputs, from the
+        upstream gradient `seed` of the forward `forward_id`."""
+        if self._graph is None or self._graph[0] != forward_id:
+            raise GraphConsumedError("the mask shard holds no graph of this forward; "
+                                     "run the forward pass again")
+        _, loss, tokens, full = self._graph
+        self._graph = None
+        _run_backward(loss, seed)
+        grads = [p.grad for p in self.params]
+        for p in self.params:
+            p.grad = None
+        return grads, tokens.grad, full.grad
+
+
+@contextlib.contextmanager
+def masked_view_shards(backbone: Backbone, decoder: Decoder):
+    """The shards `lof_loss` runs on for the length of a run: shard 0 in
+    this process, shard 1 in a forked worker when one can run
+    (`parallel.runner`), with BLAS pinned to one thread."""
+    with parallel.runner(MaskedViewShard(backbone, decoder)) as second:
+        yield [parallel.Local(MaskedViewShard(backbone, decoder)), second]
+
+
+def _run_shards(shards: list, requests: list) -> list:
+    """Each shard's reply to its request, in shard order.
+
+    The later shards are submitted first, so a worker starts before shard 0
+    runs here. Every reply is collected before the first error is raised,
+    so no stale reply stays in a worker's pipe.
+    """
+    for shard, request in reversed(list(zip(shards, requests))):
+        shard.submit(request)
+    replies, error = [], None
+    for shard in shards[:len(requests)]:
+        try:
+            replies.append(shard.result())
+        except Exception as exc:  # noqa: BLE001 - raised below, once all replies are in
+            error = error or exc
+    if error is not None:
+        raise error
+    return replies
+
+
+def _masked_views(tokens_pe: Tensor, zfn: Tensor, masks: np.ndarray, params: list[Tensor],
+                  shards: list, rngs: list, training: bool,
+                  weights: tuple) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """The masked-view loss over all shards as one graph node with parents
+    (tokens_pe, zfn), plus the (b, N) cosines and the (N,) per-mask rates."""
+    n = masks.shape[1]
+    cuts = [0, n // 2, n] if n > 1 else [0, n]
+    grad = _tracking(tokens_pe, zfn, *params)
+    forward_id = next(_forward_ids)
+    values = [p.data for p in params]
+    requests = [("forward", (forward_id, values, tokens_pe.data, zfn.data, masks[:, lo:hi],
+                             rngs[s], training, grad, weights))
+                for s, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+    replies = _run_shards(shards, requests)
+    loss = np.asarray(sum(r[0] for r in replies), dtype=tokens_pe.data.dtype)
+    cos = np.concatenate([r[1] for r in replies], axis=1)
+    rates = np.concatenate([r[2] for r in replies])
+    if not grad:
+        return _const(loss), cos, rates
+
+    def backward(g):
+        # Shard 0's gradients are added first, then shard 1's.
+        replies = _run_shards(shards, [("backward", (forward_id, g))] * len(requests))
+        for grads, g_tokens, g_zfn in replies:
+            for p, gp in zip(params, grads):
+                if gp is not None:
+                    accumulate(p, gp)
+            for t, gt in ((tokens_pe, g_tokens), (zfn, g_zfn)):
+                if t.requires_grad and gt is not None:
+                    accumulate(t, gt)
+
+    return _from_op(loss, (tokens_pe, zfn), backward), cos, rates
+
+
 def lof_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
              maskcfg: MaskConfig, tcrcfg: TCRConfig,
              rng: np.random.Generator | None = None,
              masks: np.ndarray | None = None,
-             training: bool = True) -> tuple[Tensor, dict]:
+             training: bool = True,
+             shards: list | None = None) -> tuple[Tensor, dict]:
     """Full pretraining objective over a batch.
 
     Per sample: one full-view pooled representation and N masked-view
@@ -251,46 +444,42 @@ def lof_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
     The loss combines the negative cosine similarity between full and masked
     views with the mean per-view coding rate of the masked-view batches
     (maximized), weighted per the TCRConfig switches. Returns (loss, metrics).
+
+    The masked views run on `shards` (from `masked_view_shards`); without
+    them, on in-process shards made for this call.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"lof_loss expects a (b, m, t) batch, got {x.data.shape}")
     b = x.data.shape[0]
     tokens_pe = backbone.tokens_with_pe(x, training)
-    p, d = tokens_pe.data.shape[-2], tokens_pe.data.shape[-1]
+    p = tokens_pe.data.shape[-2]
 
     if masks is None:
         if rng is None:
             rng = np.random.default_rng(maskcfg.rng_seed)
-        # Per-sample streams: pretraining bytes depend on them. Replacing them
-        # with one vectorized draw is ROADMAP Open item 1c.
-        masks = np.stack([sample_masks(p, maskcfg, r) for r in rng.spawn(b)])
+        masks = sample_masks(p, maskcfg, rng, batch=b)
     n = maskcfg.count
-    mask_stack = _check_masks(masks, (b, n, p), "lof_loss").reshape(b * n, p)
+    masks = _check_masks(masks, (b, n, p), "lof_loss")
 
     # Full view: plain encoder path.
-    z_full = ops.mean_pool(backbone.encode(tokens_pe, training, rng))       # (b, d)
+    zfn = ops.l2_normalize(ops.mean_pool(backbone.encode(tokens_pe, training, rng)))  # (b, d)
 
-    # Masked views, all samples and masks stacked into one batch axis.
-    tok_rep = reshape(expand(reshape(tokens_pe, (b, 1, p, d)), (b, n, p, d)), (b * n, p, d))
-    z_vis = encode_visible(tok_rep, mask_stack, backbone, training, rng)    # (b*n, v, d)
-    views = ops.mean_pool(decode_full(z_vis, mask_stack, decoder, training, rng))  # (b*n, d)
-
-    # Both terms share the one normalized stack of views.
-    zn_views = ops.l2_normalize(views)
-    cos = _cosine(ops.l2_normalize(z_full), reshape(zn_views, (b, n, d)))  # (b, n)
-    loss_sim = -cos.mean()
-    loss_tcr = _tcr_from_normalized(swapaxes(reshape(zn_views, (b, n, d)), 0, 1), tcrcfg.epsilon)
-
+    # Each shard's dropout stream, drawn after the full view's draws.
+    rngs = rng.spawn(SHARDS) if rng is not None else [None] * SHARDS
+    if shards is None:
+        shards = [parallel.Local(MaskedViewShard(backbone, decoder)) for _ in range(SHARDS)]
     sim_weight = tcrcfg.lam if tcrcfg.lambda_target == "sim" else 1.0
     tcr_weight = tcrcfg.tcr_weight * (tcrcfg.lam if tcrcfg.lambda_target == "tcr" else 1.0)
-    total = loss_sim * sim_weight - loss_tcr * tcr_weight
+    total, cos, rates = _masked_views(tokens_pe, zfn, masks, _shard_params(backbone, decoder),
+                                      shards, rngs, training,
+                                      (sim_weight, tcr_weight, n, tcrcfg.epsilon))
 
     metrics = {
-        "sim_loss": float(loss_sim.data),
-        "tcr_mean": float(loss_tcr.data),
-        "cos_mean": float(cos.data.mean()),
-        "cos_min": float(cos.data.min()),
-        "cos_max": float(cos.data.max()),
+        "sim_loss": float(-cos.mean()),
+        "tcr_mean": float(rates.mean()),
+        "cos_mean": float(cos.mean()),
+        "cos_min": float(cos.min()),
+        "cos_max": float(cos.max()),
     }
     return total, metrics
 
@@ -321,7 +510,7 @@ def mae_recon_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
         if rng is None:
             rng = np.random.default_rng(maskcfg.rng_seed)
         one = MaskConfig(ratio=maskcfg.ratio, count=1, rng_seed=maskcfg.rng_seed)
-        masks = np.concatenate([sample_masks(p, one, r) for r in rng.spawn(b)])
+        masks = sample_masks(p, one, rng, batch=b)[:, 0]
 
     masks = _check_masks(masks, (b, p), "mae_recon_loss")
     z_vis = encode_visible(tokens_pe, masks, backbone, training, rng)

@@ -106,42 +106,9 @@ class Tensor:
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar into all reachable leaves."""
-        if self._consumed:
-            raise GraphConsumedError(
-                "backward() called on a consumed graph; run the forward pass again"
-            )
-        if self._backward is None:
-            raise GraphConsumedError("backward() called on a tensor with no recorded graph")
         if self.data.ndim != 0:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.data.shape}")
-
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited and (p._backward is not None or p.requires_grad):
-                    stack.append((p, False))
-
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
-            # Free intermediates so a second backward cannot run and
-            # activations can be reclaimed; leaves keep their grads.
-            if node._parents:
-                node._parents = ()
-                node._backward = None
-                node._consumed = True
-                node.grad = None
+        _run_backward(self, np.ones_like(self.data))
 
     # -- operator sugar ------------------------------------------------
 
@@ -198,6 +165,45 @@ class Tensor:
 
     def swapaxes(self, a, b):
         return swapaxes(self, a, b)
+
+
+def _run_backward(root: Tensor, seed: np.ndarray) -> None:
+    """Replay the graph below `root` from the upstream gradient `seed`,
+    accumulating into reachable leaves and consuming the graph."""
+    if root._consumed:
+        raise GraphConsumedError(
+            "backward() called on a consumed graph; run the forward pass again"
+        )
+    if root._backward is None:
+        raise GraphConsumedError("backward() called on a tensor with no recorded graph")
+
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited and (p._backward is not None or p.requires_grad):
+                stack.append((p, False))
+
+    root.grad = seed
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)
+        # Free intermediates so a second backward cannot run and
+        # activations can be reclaimed; leaves keep their grads.
+        if node._parents:
+            node._parents = ()
+            node._backward = None
+            node._consumed = True
+            node.grad = None
 
 
 # -- graph construction helpers ---------------------------------------
@@ -488,10 +494,17 @@ def expand(a: Tensor, shape) -> Tensor:
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Gather rows per batch item: (b, p, d) with (b, k) indices gives
-    out[i, j] = a[i, idx[i, j]]."""
+    out[i, j] = a[i, idx[i, j]]. The positions within one row of `idx` must
+    be distinct, so the backward scatter is a plain assignment."""
     idx = np.asarray(idx)
     if a.data.ndim != 3 or idx.ndim != 2 or idx.shape[0] != a.data.shape[0]:
         raise ShapeError(f"take_rows needs a (b, p, d) tensor and (b, k) indices, got {a.shape}, {idx.shape}")
+    ordered = np.sort(idx, axis=-1)
+    repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=-1))
+    if repeated.size:
+        i = int(repeated[0])
+        raise ShapeError(f"take_rows positions must be distinct within a row; row {i} repeats one: "
+                         f"{idx[i].tolist()}")
     gather = (np.arange(a.data.shape[0])[:, None], idx)
     data = a.data[gather]
     if not _tracking(a):
@@ -499,7 +512,7 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def backward(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, gather, g)
+        ga[gather] = g
         accumulate(a, ga)
 
     return _from_op(data, (a,), backward)
@@ -535,8 +548,9 @@ def pick(a: Tensor, idx: np.ndarray) -> Tensor:
         return _const(data)
 
     def backward(g):
+        # One position per row, so an assignment scatters without collisions.
         ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, idx), g)
+        ga[rows, idx] = g
         accumulate(a, ga)
 
     return _from_op(data, (a,), backward)

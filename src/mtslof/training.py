@@ -3,6 +3,7 @@ probing, fine-tuning, transfer evaluation, and classification metrics."""
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass, field
 
@@ -12,8 +13,8 @@ from . import ops
 from .backbone import Backbone, EncoderConfig, Linear, PatcherConfig
 from .checkpoint import apply_state, load_checkpoint, save_checkpoint
 from .data import Dataset, NormStats, SplitSpec, batch_iter, normalize, split
-from .errors import ConfigError, NumericError, ShapeError
-from .objective import Decoder, MaskConfig, TCRConfig, lof_loss
+from .errors import ConfigError, MtslofError, NumericError, ShapeError
+from .objective import Decoder, MaskConfig, TCRConfig, lof_loss, masked_view_shards
 from .tensor import Tensor, no_grad
 
 log = logging.getLogger(__name__)
@@ -298,30 +299,34 @@ def pretrain(train_ds: Dataset, val_ds: Dataset | None, backbone: Backbone,
     run = TrainRun(seed=seed, mode="pretrain")
     optim = AdamW(_pretrain_params(backbone, decoder), optcfg)
     c = train_ds.class_count
-    for epoch in range(optcfg.epochs):
-        rng = np.random.default_rng([seed, epoch])
-        losses = []
-        for step, (xb, _) in enumerate(batch_iter(train_ds, optcfg.batch_size, seed, epoch)):
-            loss, _ = lof_loss(Tensor(xb), backbone, decoder, maskcfg, tcrcfg,
-                               rng=rng, training=True)
-            optim.zero_grad()
-            loss.backward()
-            try:
-                optim.step()
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch} step {step}: {exc}") from exc
-            losses.append(float(loss.data))
-        run.record(epoch, "train", float(np.mean(losses)), class_count=c)
-        if val_ds is not None and val_ds.n:
-            vrng = np.random.default_rng([seed, epoch, 1])
-            vlosses = []
-            with no_grad():
-                for xb, _ in batch_iter(val_ds, optcfg.batch_size, seed, epoch, shuffle=False):
-                    vloss, _ = lof_loss(Tensor(xb), backbone, decoder, maskcfg, tcrcfg,
-                                        rng=vrng, training=False)
-                    vlosses.append(float(vloss.data))
-            run.record(epoch, "val", float(np.mean(vlosses)), class_count=c)
-        log.info("pretrain seed=%d epoch=%d loss=%.6f", seed, epoch, run.history[-1]["loss"])
+    # The masked views' second shard runs in a worker for the whole run;
+    # none is forked when there is no step to run.
+    with (masked_view_shards(backbone, decoder) if optcfg.epochs and train_ds.n
+          else contextlib.nullcontext()) as shards:
+        for epoch in range(optcfg.epochs):
+            rng = np.random.default_rng([seed, epoch])
+            losses = []
+            for step, (xb, _) in enumerate(batch_iter(train_ds, optcfg.batch_size, seed, epoch)):
+                try:
+                    loss, _ = lof_loss(Tensor(xb), backbone, decoder, maskcfg, tcrcfg,
+                                       rng=rng, training=True, shards=shards)
+                    optim.zero_grad()
+                    loss.backward()
+                    optim.step()
+                except MtslofError as exc:
+                    raise type(exc)(f"epoch {epoch} step {step}: {exc}") from exc
+                losses.append(float(loss.data))
+            run.record(epoch, "train", float(np.mean(losses)), class_count=c)
+            if val_ds is not None and val_ds.n:
+                vrng = np.random.default_rng([seed, epoch, 1])
+                vlosses = []
+                with no_grad():
+                    for xb, _ in batch_iter(val_ds, optcfg.batch_size, seed, epoch, shuffle=False):
+                        vloss, _ = lof_loss(Tensor(xb), backbone, decoder, maskcfg, tcrcfg,
+                                            rng=vrng, training=False, shards=shards)
+                        vlosses.append(float(vloss.data))
+                run.record(epoch, "val", float(np.mean(vlosses)), class_count=c)
+            log.info("pretrain seed=%d epoch=%d loss=%.6f", seed, epoch, run.history[-1]["loss"])
     if checkpoint_path:
         save_checkpoint(checkpoint_path,
                         model_state(backbone, decoder, norm_stats, train_ds.length))

@@ -6,10 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtslof
 from mtslof.checkpoint import load_checkpoint, save_checkpoint
-from mtslof.cli import main
+from mtslof.cli import build_parser, main, resolve_config
+from mtslof.errors import MtslofError
 from mtslof.data import load_dataset
 
 TINY = ["--d-model", "8", "--heads", "2", "--depth", "1", "--decoder-depth", "1",
@@ -95,6 +98,44 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     code = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.bin")])
     assert code != 0
     assert "unknown configuration key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", ["csv", "config"])
+def test_pretrain_rejects_a_non_utf8_file_naming_it(tmp_path, capsys, reader):
+    data = tmp_path / "series.csv"
+    data.write_bytes(b"0.1,0.2,0.3,0.4,0\n" * 8)
+    argv = ["pretrain", "--data", str(data), "--checkpoint", str(tmp_path / "x.ckpt"),
+            "--out", str(tmp_path / "x.csv"), "--epochs", "1", *TINY]
+    if reader == "csv":
+        data.write_bytes(b"0.1,0.2,0.3,0.4,0\n0.1,0.2\xff,0.3,0.4,1\n")
+        bad, where = data, "line 2: byte 0xff is not UTF-8 (byte offset 25)"
+    else:
+        bad = tmp_path / "run.cfg"
+        bad.write_bytes(b"epochs=1\nlr=\xfe0.1\n")
+        argv += ["--config", str(bad)]
+        where = ":2: byte 0xfe at offset 12 is not UTF-8"
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err and err[-1].startswith(f"error: {bad}") and where in err[-1], err
+    assert sorted(os.listdir(tmp_path)) == sorted(p.name for p in {data, bad})
+
+
+_VALID_CONFIG = b"# run\nepochs=3\nlr=0.001\nseeds=1,2\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(_VALID_CONFIG)), st.integers(0, len(_VALID_CONFIG) - 1),
+       st.integers(0, 255))
+def test_config_any_prefix_or_byte_substitution_loads_or_raises_typed(tmp_path_factory, cut,
+                                                                      at, byte):
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    args = build_parser().parse_args(["gen-data", "--out", "x.bin"])
+    for blob in (_VALID_CONFIG[:cut], _VALID_CONFIG[:at] + bytes([byte]) + _VALID_CONFIG[at + 1:]):
+        path.write_bytes(blob)
+        try:
+            resolve_config(str(path), args)
+        except MtslofError as exc:
+            assert str(exc).startswith(str(path)) or "bad value" in str(exc), exc
 
 
 def test_pretrain_writes_artifacts(workdir):

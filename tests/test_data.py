@@ -180,6 +180,22 @@ def test_csv_ragged_rejected(tmp_path):
         load_csv(str(path))
 
 
+_VALID_CSV = b"1.0,2.0,3.0,0\n# note\n4.0,5.5,-6.0,1\n7.0,8.0,9.0,2\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(_VALID_CSV)), st.integers(0, len(_VALID_CSV) - 1), st.integers(0, 255))
+def test_csv_any_prefix_or_byte_substitution_loads_or_raises_typed(tmp_path_factory, cut, at, byte):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    for blob in (_VALID_CSV[:cut], _VALID_CSV[:at] + bytes([byte]) + _VALID_CSV[at + 1:]):
+        path.write_bytes(blob)
+        try:
+            load_csv(str(path))
+        except DataFormatError as exc:
+            if "UTF-8" in str(exc):
+                assert str(path) in str(exc) and exc.offset == at
+
+
 # -- split -------------------------------------------------------------------
 
 

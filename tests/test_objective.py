@@ -72,6 +72,36 @@ def test_sample_masks_infeasible_count():
         sample_masks(4, MaskConfig(ratio=0.8, count=5, rng_seed=0))
 
 
+def test_sample_masks_batch_hides_h_and_n_distinct_masks_per_sample():
+    masks = sample_masks(16, MaskConfig(ratio=0.8, count=20), np.random.default_rng(3), batch=64)
+    assert masks.shape == (64, 20, 16) and masks.dtype == bool
+    assert np.all(masks.sum(axis=-1) == 13)
+    for sample in masks:
+        assert len({tuple(row) for row in sample}) == 20
+
+
+def test_sample_masks_redraws_repeats_until_every_mask_is_distinct():
+    # C(4, 3) = 4: every sample must end with all four masks, so most first
+    # draws repeat one and are redrawn.
+    masks = sample_masks(4, MaskConfig(ratio=0.8, count=4), np.random.default_rng(0), batch=50)
+    assert np.all(masks.sum(axis=-1) == 3)
+    for sample in masks:
+        assert sorted(map(tuple, sample.astype(int))) == sorted(
+            tuple(1 - np.eye(4, dtype=int)[i]) for i in range(4))
+
+
+def test_sample_masks_batch_hides_every_position_equally_often():
+    masks = sample_masks(16, MaskConfig(ratio=0.8, count=20), np.random.default_rng(4), batch=2000)
+    freq = masks.reshape(-1, 16).mean(axis=0)
+    # 40,000 masks: the standard error of each frequency is about 0.002.
+    assert np.all(np.abs(freq - 13 / 16) <= 0.01), freq
+
+
+def test_sample_masks_batch_rejects_an_infeasible_count():
+    with pytest.raises(ConfigError, match=r"only C\(4,3\)=4 exist"):
+        sample_masks(4, MaskConfig(ratio=0.8, count=5), np.random.default_rng(0), batch=3)
+
+
 def test_mask_ratio_validation():
     with pytest.raises(ConfigError):
         MaskConfig(ratio=0.0, count=1)
