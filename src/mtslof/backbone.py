@@ -8,9 +8,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
+from . import ops, parallel
 from .errors import ConfigError, InputTooShortError, ShapeError
-from .tensor import Tensor, as_tensor, parameter, reshape, swapaxes
+from .tensor import Tensor, as_tensor, grad_enabled, parameter, reshape, swapaxes
+
+# Batches of fewer samples than this are pooled in one process. Alone, a
+# split pays from about 64 samples; in a training process it also makes
+# the next step fault in the pages the fork shared, and it pays from about
+# 128 (an evaluation pass plus the step after it, 2-vCPU VM).
+_SPLIT_MIN_BATCH = 128
+# Samples per call within a half. After the fork, the first write to each
+# page is a copy-on-write fault; smaller calls write fewer pages.
+_SPLIT_PIECE = 64
 
 
 @dataclass
@@ -178,7 +187,7 @@ class MultiHeadAttention:
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def __call__(self, x: Tensor, collect_attn: list | None = None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         b, p, d = x.data.shape
         dk = d // self.heads
 
@@ -186,9 +195,7 @@ class MultiHeadAttention:
             return swapaxes(reshape(t, (b, p, self.heads, dk)), 1, 2)
 
         q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
-        out, weights = ops.attention(q, k, v, return_weights=True)
-        if collect_attn is not None:
-            collect_attn.append(weights.data)
+        out = ops.attention(q, k, v)
         merged = reshape(swapaxes(out, 1, 2), (b, p, d))
         return self.wo(merged)
 
@@ -222,14 +229,13 @@ class EncoderBlock:
         self.ffn = FeedForward(cfg.model_dim, cfg.ffn_multiplier, rng)
 
     def __call__(self, x: Tensor, training: bool = False,
-                 rng: np.random.Generator | None = None,
-                 collect_attn: list | None = None) -> Tensor:
+                 rng: np.random.Generator | None = None) -> Tensor:
         rate = self.cfg.dropout
         if self.cfg.pre_norm:
-            x = x + ops.dropout(self.attn(self.norm1(x), collect_attn), rate, training, rng)
+            x = x + ops.dropout(self.attn(self.norm1(x)), rate, training, rng)
             x = x + ops.dropout(self.ffn(self.norm2(x)), rate, training, rng)
         else:
-            x = self.norm1(x + ops.dropout(self.attn(x, collect_attn), rate, training, rng))
+            x = self.norm1(x + ops.dropout(self.attn(x), rate, training, rng))
             x = self.norm2(x + ops.dropout(self.ffn(x), rate, training, rng))
         return x
 
@@ -247,12 +253,11 @@ class TransformerEncoder:
         self.blocks = [EncoderBlock(cfg, rng) for _ in range(cfg.depth)]
 
     def __call__(self, x: Tensor, training: bool = False,
-                 rng: np.random.Generator | None = None,
-                 collect_attn: list | None = None) -> Tensor:
+                 rng: np.random.Generator | None = None) -> Tensor:
         if x.data.ndim != 3:
             raise ShapeError(f"the transformer expects (b, p, d) tokens, got {x.data.shape}")
         for block in self.blocks:
-            x = block(x, training, rng, collect_attn)
+            x = block(x, training, rng)
         return x
 
     def named_tensors(self, prefix: str) -> dict[str, Tensor]:
@@ -326,20 +331,50 @@ class Backbone:
         return tokens + as_tensor(pe, tokens)
 
     def encode(self, tokens_pe: Tensor, training: bool = False,
-               rng: np.random.Generator | None = None,
-               collect_attn: list | None = None) -> Tensor:
-        return self.encoder(tokens_pe, training, rng, collect_attn)
+               rng: np.random.Generator | None = None) -> Tensor:
+        return self.encoder(tokens_pe, training, rng)
 
     def represent(self, x: Tensor, training: bool = False,
                   rng: np.random.Generator | None = None) -> Tensor:
         """Pooled sequence representation: (b, m, t) -> (b, d), or (m, t) -> (d,).
 
-        The one entry that takes a single sample; every layer below takes a batch."""
+        The one entry that takes a single sample; every layer below takes a batch.
+        In eval mode without a graph, BLAS runs on one thread and a batch of
+        at least `_SPLIT_MIN_BATCH` samples is split in two: this process
+        pools the first half while a worker forked for the call
+        (`parallel.runner`) pools the second. Every GEMM has a fixed shape,
+        so a sample's row has the same bits alone, in a batch or in a half.
+        """
         single = x.data.ndim == 2
         if single:
             x = reshape(x, (1,) + x.data.shape)
-        z = ops.mean_pool(self.encode(self.tokens_with_pe(x, training), training, rng))
+        if training or grad_enabled():
+            z = self._pool(x, training, rng)
+        elif x.data.shape[0] < _SPLIT_MIN_BATCH:
+            with parallel.one_blas_thread():
+                z = self._pool(x)
+        else:
+            z = self._pool_halves(x.data)
         return reshape(z, z.data.shape[1:]) if single else z
+
+    def _pool(self, x: Tensor, training: bool = False,
+              rng: np.random.Generator | None = None) -> Tensor:
+        return ops.mean_pool(self.encode(self.tokens_with_pe(x, training), training, rng))
+
+    def _pool_halves(self, x: np.ndarray) -> Tensor:
+        b = x.shape[0]
+        half = (b + 1) // 2
+
+        def pool_rows(rows: tuple[int, int]) -> np.ndarray:
+            start, stop = rows
+            return np.concatenate([
+                self._pool(Tensor(x[i : min(i + _SPLIT_PIECE, stop)], dtype=x.dtype)).data
+                for i in range(start, stop, _SPLIT_PIECE)])
+
+        with parallel.runner(pool_rows) as second:
+            second.submit((half, b))
+            first = pool_rows((0, half))
+            return Tensor(np.concatenate([first, second.result()]), dtype=first.dtype)
 
     def classify(self, z: Tensor) -> Tensor:
         return self.head(z)

@@ -1,5 +1,5 @@
-"""A second process for the pretraining step, and the one-thread BLAS
-policy it runs under.
+"""A second process for the pretraining step and the graph-free
+representation pass, and the one-thread BLAS policy both run under.
 
 A request handler is a plain callable. `runner(handler)` yields something
 that answers requests with it: a forked `Worker` when one can run, else a

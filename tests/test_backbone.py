@@ -114,18 +114,6 @@ def test_encoder_permutation_equivariance(rng):
         assert np.allclose(permuted, direct[perm], atol=1e-10)
 
 
-def test_encoder_attention_hook_row_stochastic(rng):
-    backbone = tiny_backbone(depth=2)
-    collected = []
-    with no_grad():
-        tokens = backbone.tokens_with_pe(Tensor(rng.normal(size=(2, 2, 32)).astype(np.float32)))
-        backbone.encode(tokens, collect_attn=collected)
-    assert len(collected) == 2
-    for w in collected:
-        assert np.all(w >= 0)
-        assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-5)
-
-
 def test_encoder_eval_batch_invariance(rng):
     backbone = tiny_backbone(depth=2)
     xs = rng.normal(size=(4, 2, 32)).astype(np.float32)

@@ -5,7 +5,7 @@ import pytest
 
 from mtslof.backbone import EncoderConfig, PatcherConfig
 from mtslof.checkpoint import MAGIC, apply_state, load_checkpoint, save_checkpoint
-from mtslof.errors import CheckpointMismatchError, DataFormatError
+from mtslof.errors import CheckpointMismatchError, DataFormatError, MtslofError
 from mtslof.tensor import parameter
 from mtslof.training import build_model, load_model_state, model_state
 
@@ -118,3 +118,24 @@ def test_model_state_roundtrip(tmp_path):
                           b1.patcher.norms[0].running_mean)
     for name, t in d1.named_params().items():
         assert np.array_equal(t.data, dict(d2.named_params())[name].data), name
+
+
+
+def test_checkpoint_any_prefix_or_byte_substitution_loads_or_raises_typed(tmp_path):
+    path = str(tmp_path / "c.ckpt")
+    save_checkpoint(path, {"w": np.array([0.5, -1.0], dtype=np.float32),
+                           "s": np.array(2.0, dtype=np.float64)})
+    valid = open(path, "rb").read()
+    blobs = [valid[:cut] for cut in range(len(valid))]
+    blobs += [valid[:at] + bytes([byte]) + valid[at + 1:]
+              for at in range(len(valid)) for byte in range(256) if byte != valid[at]]
+    loaded = 0
+    for blob in blobs:
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            load_checkpoint(path)
+        except MtslofError:
+            continue
+        loaded += 1
+    assert loaded > 0

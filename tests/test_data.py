@@ -19,7 +19,7 @@ from mtslof.data import (
     save_dataset,
     split,
 )
-from mtslof.errors import ConfigError, DataFormatError
+from mtslof.errors import ConfigError, DataFormatError, MtslofError
 
 
 def small_cfg(**kw):
@@ -194,6 +194,26 @@ def test_csv_any_prefix_or_byte_substitution_loads_or_raises_typed(tmp_path_fact
         except DataFormatError as exc:
             if "UTF-8" in str(exc):
                 assert str(path) in str(exc) and exc.offset == at
+
+
+
+def test_dataset_any_prefix_or_byte_substitution_loads_or_raises_typed(tmp_path):
+    path = str(tmp_path / "d.bin")
+    save_dataset(Dataset(np.array([[[0.5, -1.0, 2.0]], [[3.0, 0.25, -4.0]]]), [1, 0], 2), path)
+    valid = open(path, "rb").read()
+    blobs = [valid[:cut] for cut in range(len(valid))]
+    blobs += [valid[:at] + bytes([byte]) + valid[at + 1:]
+              for at in range(len(valid)) for byte in range(256) if byte != valid[at]]
+    loaded = 0
+    for blob in blobs:
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            load_dataset(path)
+        except MtslofError:
+            continue
+        loaded += 1
+    assert loaded > 0
 
 
 # -- split -------------------------------------------------------------------
