@@ -23,7 +23,6 @@ from .objective import (
     decode_full,
     encode_visible,
     lof_loss,
-    mae_recon_loss,
     masked_view_representation,
     sample_masks,
     sim_loss,

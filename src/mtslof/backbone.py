@@ -112,10 +112,15 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
 
 
+def initial_weights(rng: np.random.Generator | None, shape, std: float = 0.02) -> np.ndarray:
+    """`trunc_normal` draws, or zeros with no draw when `rng` is None (a model
+    whose tensors a checkpoint fills, or a zero-initialized head)."""
+    return np.zeros(shape) if rng is None else trunc_normal(rng, shape, std)
+
+
 class Linear:
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, zero_init: bool = False):
-        w = np.zeros((d_out, d_in)) if zero_init else trunc_normal(rng, (d_out, d_in))
-        self.weight = parameter(w)
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None):
+        self.weight = parameter(initial_weights(rng, (d_out, d_in)))
         self.bias = parameter(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -127,11 +132,11 @@ class Linear:
 
 class Conv1dLayer:
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int, padding: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         # Fan-in scaling keeps token magnitudes comparable to the positional
         # table; a fixed tiny std would leave tokens dominated by it.
         std = float((c_in * kernel) ** -0.5)
-        self.weight = parameter(trunc_normal(rng, (c_out, c_in, kernel), std=std))
+        self.weight = parameter(initial_weights(rng, (c_out, c_in, kernel), std=std))
         self.bias = parameter(np.zeros(c_out))
         self.stride = stride
         self.padding = padding
@@ -179,7 +184,7 @@ class LayerNormLayer:
 
 
 class MultiHeadAttention:
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator | None):
         self.dim = dim
         self.heads = heads
         self.wq = Linear(dim, dim, rng)
@@ -207,7 +212,7 @@ class MultiHeadAttention:
 
 
 class FeedForward:
-    def __init__(self, dim: int, multiplier: int, rng: np.random.Generator):
+    def __init__(self, dim: int, multiplier: int, rng: np.random.Generator | None):
         self.lin1 = Linear(dim, dim * multiplier, rng)
         self.lin2 = Linear(dim * multiplier, dim, rng)
 
@@ -221,7 +226,7 @@ class FeedForward:
 
 
 class EncoderBlock:
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None):
         self.cfg = cfg
         self.norm1 = LayerNormLayer(cfg.model_dim)
         self.attn = MultiHeadAttention(cfg.model_dim, cfg.heads, rng)
@@ -248,7 +253,7 @@ class EncoderBlock:
 
 
 class TransformerEncoder:
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None):
         self.cfg = cfg
         self.blocks = [EncoderBlock(cfg, rng) for _ in range(cfg.depth)]
 
@@ -274,7 +279,7 @@ class ConvPatcher:
     final 1x1 layer is bare.
     """
 
-    def __init__(self, cfg: PatcherConfig, rng: np.random.Generator):
+    def __init__(self, cfg: PatcherConfig, rng: np.random.Generator | None):
         self.cfg = cfg
         shapes = cfg.layer_shapes()
         self.convs = [Conv1dLayer(ci, co, k, s, pad, rng) for ci, co, k, s, pad in shapes]
@@ -301,16 +306,19 @@ class ConvPatcher:
 
 
 class Backbone:
-    """f_theta plus the linear head: patchify, encode, pool, classify."""
+    """f_theta plus the linear head: patchify, encode, pool, classify.
+
+    `seed` None draws nothing and leaves every weight zero.
+    """
 
     def __init__(self, patcher_cfg: PatcherConfig, encoder_cfg: EncoderConfig,
-                 class_count: int, seed: int = 0):
+                 class_count: int, seed: int | None = 0):
         if patcher_cfg.channel_widths[-1] != encoder_cfg.model_dim:
             raise ConfigError(
                 f"last channel width {patcher_cfg.channel_widths[-1]} must equal "
                 f"model_dim {encoder_cfg.model_dim}"
             )
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.patcher_cfg = patcher_cfg
         self.encoder_cfg = encoder_cfg
         self.class_count = class_count
@@ -319,9 +327,6 @@ class Backbone:
         self.head = Linear(encoder_cfg.model_dim, class_count, rng)
 
     # -- forward pieces ------------------------------------------------
-
-    def patch_count(self, t: int) -> int:
-        return patch_count(t, self.patcher_cfg)
 
     def tokens_with_pe(self, x: Tensor, training: bool = False) -> Tensor:
         """Patcher output with the positional table added at each position."""

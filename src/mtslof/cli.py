@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import math
 import os
 import platform
@@ -38,14 +39,12 @@ from .training import (
     OptimConfig,
     TrainRun,
     build_model,
-    check_input_shape,
-    checkpoint_norm_stats,
     compute_representations,
     evaluate,
     finetune,
     history_csv,
     linear_probe,
-    load_model_state,
+    model_from_checkpoint,
     model_state,
     prepare_splits,
     pretrain,
@@ -248,15 +247,14 @@ def _describe_mismatch(exc: CheckpointMismatchError, cfg: dict) -> str:
     return f"checkpoint/config mismatch: {msg}"
 
 
-def _load_model(cfg: dict, patcher: PatcherConfig, encoder: EncoderConfig, class_count: int,
-                seed: int, loaded: dict, include_head: bool):
-    """Build a model and load checkpoint tensors into it; a mismatch names the config field."""
-    backbone, decoder = build_model(patcher, encoder, class_count, cfg["decoder_depth"], seed)
+def _load_model(cfg: dict, loaded: dict, ds: Dataset, patcher: PatcherConfig,
+                encoder: EncoderConfig, include_head: bool):
+    """`model_from_checkpoint`, with a mismatch that names the config field."""
     try:
-        load_model_state(backbone, decoder, loaded, include_head=include_head)
+        return model_from_checkpoint(loaded, ds, patcher, encoder, cfg["decoder_depth"],
+                                     include_head)
     except CheckpointMismatchError as exc:
         raise ConfigError(_describe_mismatch(exc, cfg)) from exc
-    return backbone, decoder
 
 
 def _summary_csv(rows: list[tuple[int, float, float]]) -> str:
@@ -312,14 +310,15 @@ def _probe_like(cfg: dict, args, mode: str) -> int:
     ds = _load_any_dataset(args.data)
     patcher, encoder, maskcfg, tcrcfg, optcfg = _configs_from(cfg, ds.channels)
     loaded = load_checkpoint(args.checkpoint)
-    check_input_shape(loaded, ds)
-    train, val, test, stats = prepare_splits(ds, _split_spec(cfg), checkpoint_norm_stats(loaded))
+    backbone, decoder, stats = _load_model(cfg, loaded, ds, patcher, encoder, include_head=False)
+    train, val, test, stats = prepare_splits(ds, _split_spec(cfg), stats)
     seeds = cfg["seeds"]
     multi = len(seeds) > 1
     rows = []
-    for seed in seeds:
-        backbone, decoder = _load_model(cfg, patcher, encoder, ds.class_count, seed, loaded,
-                                        include_head=False)
+    for i, seed in enumerate(seeds):
+        if i:  # each seed starts from the checkpoint, not from the last seed's run
+            backbone, decoder, _ = _load_model(cfg, loaded, ds, patcher, encoder,
+                                               include_head=False)
         if mode == "probe":
             run, metrics = linear_probe(train, val, test, backbone, optcfg, seed)
         else:
@@ -351,15 +350,13 @@ def cmd_finetune(cfg: dict, args) -> int:
 def cmd_eval(cfg: dict, args) -> int:
     ds = _load_any_dataset(args.data)
     patcher, encoder, _, _, _ = _configs_from(cfg, ds.channels)
-    loaded = load_checkpoint(args.checkpoint)
-    check_input_shape(loaded, ds)
-    train, val, test, _ = prepare_splits(ds, _split_spec(cfg), checkpoint_norm_stats(loaded))
+    backbone, _, stats = _load_model(cfg, load_checkpoint(args.checkpoint), ds, patcher,
+                                     encoder, include_head=True)
+    train, val, test, _ = prepare_splits(ds, _split_spec(cfg), stats)
     part = {"train": train, "val": val, "test": test}.get(cfg["eval_split"])
     if part is None:
         raise ConfigError(f"eval_split must be train, val, or test, got {cfg['eval_split']!r}")
     seed = cfg["seeds"][0]
-    backbone, _ = _load_model(cfg, patcher, encoder, ds.class_count, seed, loaded,
-                              include_head=True)
     metrics = evaluate(backbone, part)
     if args.out:
         run = TrainRun(seed=seed, mode="eval")
@@ -372,16 +369,15 @@ def cmd_eval(cfg: dict, args) -> int:
 def cmd_export_embeddings(cfg: dict, args) -> int:
     ds = _load_any_dataset(args.data)
     patcher, encoder, _, _, _ = _configs_from(cfg, ds.channels)
-    loaded = load_checkpoint(args.checkpoint)
-    check_input_shape(loaded, ds)
-    ds_n, _ = normalize(ds, checkpoint_norm_stats(loaded))
-    backbone, _ = _load_model(cfg, patcher, encoder, ds.class_count, cfg["seeds"][0], loaded,
-                              include_head=True)
+    backbone, _, stats = _load_model(cfg, load_checkpoint(args.checkpoint), ds, patcher,
+                                     encoder, include_head=True)
+    ds_n, _ = normalize(ds, stats)
     d = encoder.model_dim
+    row_format = "%d,%d," + ",".join(["%.6f"] * d)
+    z = compute_representations(backbone, ds_n).tolist()
     lines = ["index,label," + ",".join(f"e{k}" for k in range(d))]
-    for idx, row in enumerate(compute_representations(backbone, ds_n)):
-        values = ",".join(f"{v:.6f}" for v in row)
-        lines.append(f"{idx},{ds_n.labels[idx]},{values}")
+    lines += [row_format % (idx, label, *values)
+              for idx, (label, values) in enumerate(zip(ds_n.labels.tolist(), z))]
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"rows={ds_n.n} dim={d}")
     return 0
@@ -471,7 +467,9 @@ def _add_common(sub: argparse.ArgumentParser, *, data=False, checkpoint=False,
     sub.add_argument("--fraction", type=float)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     key_docs = "\n".join(f"  {key}={_fmt(default)}  ({help_text})"
                          for key, (default, _, help_text) in SCHEMA.items())
     parser = argparse.ArgumentParser(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ops, parallel
-from .backbone import Backbone, EncoderConfig, Linear, TransformerEncoder, positional_encoding, trunc_normal
+from .backbone import Backbone, EncoderConfig, TransformerEncoder, initial_weights, positional_encoding
 from .errors import ConfigError, GraphConsumedError, NumericError, ShapeError
 from .tensor import (
     Tensor,
@@ -128,17 +128,14 @@ class Decoder:
     """Transformer decoder with a shared learnable mask token.
 
     The block configuration mirrors the encoder's; depth defaults to 4.
-    An optional d->d reconstruction head supports the masked-autoencoder
-    baseline objective.
+    `seed` None draws nothing and leaves every weight zero.
     """
 
-    def __init__(self, encoder_cfg: EncoderConfig, depth: int = 4,
-                 with_recon_head: bool = False, seed: int = 0):
+    def __init__(self, encoder_cfg: EncoderConfig, depth: int = 4, seed: int | None = 0):
         self.cfg = cfg = replace(encoder_cfg, depth=depth)
-        rng = np.random.default_rng(seed)
-        self.mask_token = parameter(trunc_normal(rng, (cfg.model_dim,)))
+        rng = None if seed is None else np.random.default_rng(seed)
+        self.mask_token = parameter(initial_weights(rng, (cfg.model_dim,)))
         self.blocks = TransformerEncoder(cfg, rng)
-        self.recon_head = Linear(cfg.model_dim, cfg.model_dim, rng) if with_recon_head else None
 
     def __call__(self, x: Tensor, training: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
@@ -147,8 +144,6 @@ class Decoder:
     def named_params(self) -> dict[str, Tensor]:
         out = {"mask_token": self.mask_token}
         out.update(self.blocks.named_tensors(""))
-        if self.recon_head is not None:
-            out.update(self.recon_head.named_tensors("recon."))
         return out
 
 
@@ -173,14 +168,6 @@ def _mask_indices(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     visible = np.nonzero(~mask)[1].reshape(len(mask), mask.shape[1] - h)
     hidden = np.nonzero(mask)[1].reshape(len(mask), h)
     return visible, hidden
-
-
-def _check_masks(masks, expected: tuple[int, ...], loss: str) -> np.ndarray:
-    """`masks` as a bool array, or a ShapeError naming the expected shape."""
-    masks = np.asarray(masks, dtype=bool)
-    if masks.shape != expected:
-        raise ShapeError(f"{loss} masks must have shape {expected}, got {masks.shape}")
-    return masks
 
 
 def encode_visible(tokens_pe: Tensor, mask: np.ndarray, backbone: Backbone,
@@ -262,15 +249,6 @@ def tcr_loss(zbatch: Tensor, cfg: TCRConfig) -> Tensor:
     """Total coding rate of a (b, d) batch, or the mean over an (N, b, d) stack."""
     rates = _tcr_from_normalized(ops.l2_normalize(zbatch), cfg.epsilon)
     return rates.mean() if zbatch.data.ndim == 3 else rates
-
-
-def masked_mse(recon: Tensor, target: np.ndarray, hidden: np.ndarray) -> Tensor:
-    """Squared error averaged over hidden-row entries only; zero when nothing is hidden."""
-    if hidden.size == 0:
-        return as_tensor(np.zeros((), dtype=recon.data.dtype), recon)
-    rows = np.take_along_axis(target, hidden[..., None], axis=-2)
-    diff = take_rows(recon, hidden) - as_tensor(rows, recon)
-    return (diff * diff).mean()
 
 
 # -- the masked-view branch as mask shards ----------------------------------
@@ -459,7 +437,9 @@ def lof_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
             rng = np.random.default_rng(maskcfg.rng_seed)
         masks = sample_masks(p, maskcfg, rng, batch=b)
     n = maskcfg.count
-    masks = _check_masks(masks, (b, n, p), "lof_loss")
+    masks = np.asarray(masks, dtype=bool)
+    if masks.shape != (b, n, p):
+        raise ShapeError(f"lof_loss masks must have shape {(b, n, p)}, got {masks.shape}")
 
     # Full view: plain encoder path.
     zfn = ops.l2_normalize(ops.mean_pool(backbone.encode(tokens_pe, training, rng)))  # (b, d)
@@ -482,38 +462,3 @@ def lof_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
         "cos_max": float(cos.max()),
     }
     return total, metrics
-
-
-def mae_recon_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
-                   maskcfg: MaskConfig, rng: np.random.Generator | None = None,
-                   masks: np.ndarray | None = None,
-                   training: bool = True) -> Tensor:
-    """Masked-autoencoder baseline: reconstruct hidden patch tokens.
-
-    One mask per sample, drawn or given as (b, p) bool `masks`, all hiding
-    the same number of patches; the target is the patcher output (token
-    space, no positional table), treated as constant. The error is averaged
-    over hidden token entries only.
-    """
-    if decoder.recon_head is None:
-        raise ConfigError("mae_recon_loss needs a decoder built with a reconstruction head")
-    if x.data.ndim != 3:
-        raise ShapeError(f"mae_recon_loss expects a (b, m, t) batch, got {x.data.shape}")
-    b = x.data.shape[0]
-    tokens = backbone.patcher(x, training)                                   # (b, p, d)
-    p, d = tokens.data.shape[-2], tokens.data.shape[-1]
-    pe = positional_encoding(p, d, dtype=tokens.data.dtype)
-    tokens_pe = tokens + as_tensor(pe, tokens)
-    target = tokens.data.copy()
-
-    if masks is None:
-        if rng is None:
-            rng = np.random.default_rng(maskcfg.rng_seed)
-        one = MaskConfig(ratio=maskcfg.ratio, count=1, rng_seed=maskcfg.rng_seed)
-        masks = sample_masks(p, one, rng, batch=b)[:, 0]
-
-    masks = _check_masks(masks, (b, p), "mae_recon_loss")
-    z_vis = encode_visible(tokens_pe, masks, backbone, training, rng)
-    recon = decoder.recon_head(decode_full(z_vis, masks, decoder, training, rng))
-    _, hidden = _mask_indices(masks)
-    return masked_mse(recon, target, hidden)

@@ -368,7 +368,9 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Train mode normalizes over batch and time per channel and updates the
     running stats in place (biased variance, consistent with the stats
-    used for normalization). Eval mode applies the running stats.
+    used for normalization). Eval mode applies the running stats; without a
+    graph it writes every step into one array of x's dtype, which has the
+    bits of the Tensor expression when gamma and beta share that dtype.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"batchnorm1d expects (b, c, t) input, got {x.data.shape}")
@@ -384,8 +386,16 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         running_var *= 1.0 - momentum
         running_var += momentum * var.reshape(c)
     else:
-        inv = (1.0 / np.sqrt(running_var + eps))[None, :, None]
-        y = (x - running_mean[None, :, None].astype(x.data.dtype)) * inv.astype(x.data.dtype)
+        mean = running_mean[None, :, None].astype(x.data.dtype)
+        inv = (1.0 / np.sqrt(running_var + eps))[None, :, None].astype(x.data.dtype)
+        if not _tracking(x, gamma, beta):
+            # The expression below, operation for operation, in one array.
+            y = x.data - mean
+            y *= inv
+            y *= gamma.data.reshape(1, c, 1)
+            y += beta.data.reshape(1, c, 1)
+            return _const(y)
+        y = (x - mean) * inv
     return y * reshape(gamma, (1, c, 1)) + reshape(beta, (1, c, 1))
 
 

@@ -91,16 +91,6 @@ class Tensor:
 
     # -- autodiff ------------------------------------------------------
 
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
-        out._consumed = False
-        return out
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -204,11 +204,13 @@ def run_summary_text(run: TrainRun, metrics: Metrics | None = None) -> str:
 
 
 def build_model(patcher_cfg: PatcherConfig, encoder_cfg: EncoderConfig,
-                class_count: int, decoder_depth: int = 4, seed: int = 0,
-                with_recon_head: bool = False) -> tuple[Backbone, Decoder]:
+                class_count: int, decoder_depth: int = 4,
+                seed: int | None = 0) -> tuple[Backbone, Decoder]:
+    """A randomly initialized model; `seed` None draws nothing and leaves
+    every weight zero, for a checkpoint to fill."""
     backbone = Backbone(patcher_cfg, encoder_cfg, class_count, seed=seed)
     decoder = Decoder(encoder_cfg, depth=decoder_depth,
-                      with_recon_head=with_recon_head, seed=seed + 1000003)
+                      seed=None if seed is None else seed + 1000003)
     return backbone, decoder
 
 
@@ -245,17 +247,22 @@ def load_model_state(backbone: Backbone, decoder: Decoder | None,
     apply_state(targets, loaded)
 
 
-def checkpoint_norm_stats(loaded: dict[str, np.ndarray]) -> NormStats | None:
+def model_from_checkpoint(loaded: dict[str, np.ndarray], ds: Dataset,
+                          patcher_cfg: PatcherConfig, encoder_cfg: EncoderConfig,
+                          decoder_depth: int = 4, include_head: bool = True
+                          ) -> tuple[Backbone, Decoder, NormStats | None]:
+    """The model a loaded checkpoint holds, for inputs shaped like `ds`, and
+    the normalization statistics stored with it.
+
+    A dataset whose channel count or length differs from the checkpoint's
+    input is a `ShapeError`. The model is built with no random draws and
+    filled by `apply_state`, strict on names and shapes
+    (`CheckpointMismatchError`). Without `include_head` the head stays zero.
+    """
+    stats = None
     if "norm.mean" in loaded and "norm.std" in loaded:
-        return NormStats(mean=loaded["norm.mean"].astype(np.float64),
-                         std=loaded["norm.std"].astype(np.float64))
-    return None
-
-
-def check_input_shape(loaded: dict[str, np.ndarray], ds: Dataset) -> None:
-    """Reject a dataset whose channel count or length differs from the
-    input the checkpoint was trained on."""
-    stats = checkpoint_norm_stats(loaded)
+        stats = NormStats(mean=loaded["norm.mean"].astype(np.float64),
+                          std=loaded["norm.std"].astype(np.float64))
     if stats is not None and stats.mean.shape[0] != ds.channels:
         raise ShapeError(
             f"checkpoint/config mismatch on channels: checkpoint m={stats.mean.shape[0]}, "
@@ -265,6 +272,10 @@ def check_input_shape(loaded: dict[str, np.ndarray], ds: Dataset) -> None:
         if t_src != ds.length:
             raise ShapeError(
                 f"checkpoint/config mismatch on length: checkpoint t={t_src}, dataset t={ds.length}")
+    backbone, decoder = build_model(patcher_cfg, encoder_cfg, ds.class_count, decoder_depth,
+                                    seed=None)
+    load_model_state(backbone, decoder, loaded, include_head=include_head)
+    return backbone, decoder, stats
 
 
 def prepare_splits(ds: Dataset, spec: SplitSpec, stats: NormStats | None = None
@@ -285,8 +296,7 @@ def _pretrain_params(backbone: Backbone, decoder: Decoder) -> dict[str, Tensor]:
     """Everything the SSL objective touches; the classifier head stays out."""
     params = {"backbone." + n: p for n, p in backbone.named_params().items()
               if not n.startswith("head.")}
-    params.update({"decoder." + n: p for n, p in decoder.named_params().items()
-                   if not n.startswith("recon.")})
+    params.update({"decoder." + n: p for n, p in decoder.named_params().items()})
     return params
 
 
@@ -413,8 +423,7 @@ def finetune(train_ds: Dataset, val_ds: Dataset | None, test_ds: Dataset,
         run.warnings.append(f"classes {missing} absent from the {fraction} fraction subset")
         log.warning("finetune subset is missing classes %s", missing)
 
-    backbone.head = Linear(backbone.encoder_cfg.model_dim, c,
-                           np.random.default_rng(seed), zero_init=True)
+    backbone.head = Linear(backbone.encoder_cfg.model_dim, c, rng=None)  # zero weights
     optim = AdamW(backbone.named_params(), optcfg)
     for epoch in range(optcfg.epochs):
         rng = np.random.default_rng([seed, epoch])
@@ -446,10 +455,8 @@ def transfer_eval(source_checkpoint: str, target: Dataset,
     The target must match the source input shape; normalization statistics
     stored with the checkpoint are applied, never recomputed.
     """
-    loaded = load_checkpoint(source_checkpoint)
-    check_input_shape(loaded, target)
-    backbone, decoder = build_model(patcher_cfg, encoder_cfg, target.class_count,
-                                    decoder_depth, seed)
-    load_model_state(backbone, decoder, loaded, include_head=False)
-    train, val, test, _ = prepare_splits(target, split_spec, checkpoint_norm_stats(loaded))
+    backbone, _, stats = model_from_checkpoint(load_checkpoint(source_checkpoint), target,
+                                               patcher_cfg, encoder_cfg, decoder_depth,
+                                               include_head=False)
+    train, val, test, _ = prepare_splits(target, split_spec, stats)
     return linear_probe(train, val, test, backbone, optcfg, seed)

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtslof
+from mtslof import backbone, cli, training
 from mtslof.checkpoint import load_checkpoint, save_checkpoint
-from mtslof.cli import build_parser, main, resolve_config
-from mtslof.errors import MtslofError
+from mtslof.cli import SCHEMA, build_parser, main, resolve_config
+from mtslof.errors import ConfigError, MtslofError
 from mtslof.data import load_dataset
 
 TINY = ["--d-model", "8", "--heads", "2", "--depth", "1", "--decoder-depth", "1",
@@ -280,6 +281,149 @@ def test_export_embeddings_rows_and_determinism(workdir, tmp_path):
     assert lines[0].startswith("index,label,e0")
     assert len(lines) == 1 + 36
     assert open(a).read() == open(b).read()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_export_rows_equal_per_value_formatting(workdir, tmp_path, monkeypatch, dtype):
+    ds = load_dataset(workdir["data"])
+    edge = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-7, -5e-7, 1.5e-6, 2.5e-6,
+            0.1234565, -0.0000004, 999999.9999995, 1e6 + 0.5e-6, 1234567.8912345, -3.4e7,
+            1e15, -1e30, float(np.finfo(np.float32).max), 1e-300]
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((ds.n, 8)) * 10.0 ** rng.integers(-9, 10, size=(ds.n, 8))
+    values.flat[:len(edge)] = edge
+    values = values.astype(dtype)
+    monkeypatch.setattr(cli, "compute_representations", lambda model, part: values)
+    out = tmp_path / "emb.csv"
+    assert main(["export-embeddings", "--data", workdir["data"], "--checkpoint",
+                 workdir["ckpt"], "--out", str(out), *TINY]) == 0
+    expected = ["index,label," + ",".join(f"e{k}" for k in range(8))]
+    expected += [f"{i},{ds.labels[i]}," + ",".join(f"{v:.6f}" for v in values[i])
+                 for i in range(ds.n)]
+    assert out.read_text() == "\n".join(expected) + "\n"
+
+
+# -- the one load path ---------------------------------------------------------
+
+
+def _run_loading_commands(workdir, out, capsys) -> tuple[dict, list]:
+    """Run every command that loads a checkpoint; return its files and stdout."""
+    out.mkdir()
+    common = ["--data", workdir["data"], "--checkpoint", workdir["ckpt"], *TINY]
+    commands = [
+        ["eval", *common, "--split", "train", "--out", str(out / "eval.csv")],
+        ["export-embeddings", *common, "--out", str(out / "emb.csv")],
+        ["probe", *common, "--seed", "1,2", "--epochs", "2", "--out", str(out / "probe.csv"),
+         "--save-checkpoint", str(out / "probe.ckpt")],
+        ["finetune", *common, "--seed", "3,4", "--epochs", "1", "--out", str(out / "ft.csv"),
+         "--save-checkpoint", str(out / "ft.ckpt")],
+    ]
+    printed = []
+    for argv in commands:
+        assert main(argv) == 0, argv
+        printed.append(capsys.readouterr().out)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, printed
+
+
+def test_loading_commands_write_the_bytes_of_a_random_init_then_loaded_model(
+        workdir, tmp_path, monkeypatch, capsys):
+    files, printed = _run_loading_commands(workdir, tmp_path / "direct", capsys)
+    # eval, export, two summaries, and per seed a history, a run file and a checkpoint
+    assert len(files) == 16
+
+    build_model = training.build_model
+    seeds = []
+
+    def random_init(*args, seed=0, **kwargs):
+        seeds.append(seed)
+        return build_model(*args, seed=12345 if seed is None else seed, **kwargs)
+
+    monkeypatch.setattr(training, "build_model", random_init)
+    assert _run_loading_commands(workdir, tmp_path / "random", capsys) == (files, printed)
+    assert seeds == [None] * 6  # eval, export, and one model per probe and finetune seed
+
+
+def test_loading_commands_draw_no_random_weights(workdir, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random weight draw while loading a checkpoint")
+
+    monkeypatch.setattr(backbone, "trunc_normal", refuse)
+    common = ["--data", workdir["data"], "--checkpoint", workdir["ckpt"], *TINY]
+    for argv in (["eval", *common],
+                 ["export-embeddings", *common, "--out", str(tmp_path / "emb.csv")],
+                 ["finetune", *common, "--seed", "3,4", "--epochs", "1",
+                  "--out", str(tmp_path / "ft.csv")]):
+        assert main(argv) == 0, capsys.readouterr().err
+
+    # A probe draws one thing: the fresh head it trains, once per seed.
+    draws = []
+
+    def record(rng, shape, std=0.02):
+        draws.append(tuple(shape))
+        return np.zeros(shape)
+
+    monkeypatch.setattr(backbone, "trunc_normal", record)
+    assert main(["probe", *common, "--seed", "1,2", "--epochs", "1",
+                 "--out", str(tmp_path / "probe.csv")]) == 0
+    assert draws == [(3, 8), (3, 8)]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--decoder-depth", "2"], "checkpoint/config mismatch on depth/decoder_depth: "
+                               "checkpoint is missing tensor 'decoder.block1.norm1.scale'"),
+    (["--channel-widths", "4,4,8,8"], "checkpoint/config mismatch on d_model/channel_widths: "
+                                      "shape mismatch for 'backbone.patcher.conv3.weight': "
+                                      "checkpoint (4, 4, 8), model (8, 4, 8)"),
+], ids=["decoder_depth", "width"])
+@pytest.mark.parametrize("command", ["eval", "export-embeddings", "probe", "finetune"])
+def test_architecture_mismatch_keeps_its_error_and_message(workdir, tmp_path, capsys, command,
+                                                           flags, message):
+    argv = [command, "--data", workdir["data"], "--checkpoint", workdir["ckpt"], *TINY, *flags]
+    out = tmp_path / "out.csv"
+    if command != "eval":
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip() == "error: " + message
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ConfigError) as exc:
+        args.func(resolve_config(None, args), args)
+    assert str(exc.value) == message
+    assert not out.exists()
+
+
+# -- the parser, built once per process -------------------------------------------
+
+
+def test_consecutive_main_calls_leave_no_state_in_the_parser(workdir, tmp_path, capsys):
+    def resolved(argv) -> dict:
+        assert main(argv) == 0, capsys.readouterr().err
+        lines = capsys.readouterr().out.splitlines()
+        pairs = (line.split("=", 1) for line in lines if "=" in line)
+        return {key: value for key, value in pairs if key in SCHEMA}
+
+    assert build_parser() is build_parser()
+    defaults = resolved(["gen-data", "--out", str(tmp_path / "d0.bin")])
+    common = ["--data", workdir["data"], "--checkpoint", workdir["ckpt"], *TINY]
+
+    first = resolved(["gen-data", "--out", str(tmp_path / "a.bin"), "--samples-per-class", "4",
+                      "--noise-std", "0.9", "--seed", "7"])
+    assert (first["samples_per_class"], first["noise_std"], first["seeds"]) == ("4", "0.9", "7")
+    split_val = resolved(["eval", *common, "--split", "val", "--seed", "5"])
+    assert (split_val["eval_split"], split_val["seeds"]) == ("val", "5")
+    assert split_val["samples_per_class"] == defaults["samples_per_class"]
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--out", str(tmp_path / "b.bin"), "--no-such-flag"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", *common, "--split", "nowhere"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    again = resolved(["gen-data", "--out", str(tmp_path / "c.bin")])
+    assert again == defaults
+    split_default = resolved(["eval", *common])
+    assert split_default["eval_split"] == "test"
+    assert split_default["seeds"] == defaults["seeds"]
+    assert open(tmp_path / "c.bin", "rb").read() == open(tmp_path / "d0.bin", "rb").read()
 
 
 def test_export_embeddings_rejects_non_finite_checkpoint(workdir, tmp_path, capsys):

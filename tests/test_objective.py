@@ -18,8 +18,6 @@ from mtslof.objective import (
     encode_visible,
     hidden_count,
     lof_loss,
-    mae_recon_loss,
-    masked_mse,
     masked_view_representation,
     sample_masks,
     sim_loss,
@@ -33,9 +31,14 @@ PATCHER = PatcherConfig(first_kernel=8, first_stride=1,
 ENCODER = EncoderConfig(model_dim=8, heads=2, depth=1, ffn_multiplier=2, dropout=0.0)
 
 
-def tiny_model(seed=0, decoder_depth=2, with_recon_head=False):
-    return build_model(PATCHER, ENCODER, class_count=3, decoder_depth=decoder_depth,
-                       seed=seed, with_recon_head=with_recon_head)
+def tiny_model(seed=0, decoder_depth=2):
+    return build_model(PATCHER, ENCODER, class_count=3, decoder_depth=decoder_depth, seed=seed)
+
+
+def hidden_mse(recon: np.ndarray, target: np.ndarray, hidden: np.ndarray) -> float:
+    """Squared error averaged over the entries of the hidden rows."""
+    diff = np.take_along_axis(recon - target, hidden[..., None], axis=-2)
+    return float((diff * diff).mean())
 
 
 # -- mask sampling -------------------------------------------------------
@@ -203,16 +206,16 @@ def test_stacked_views_match_single_view_calls(rng):
         with no_grad():
             z_vis = encode_visible(Tensor(tokens), masks, backbone)
             dec = decode_full(z_vis, masks, decoder)
-            loss = masked_mse(dec, target, hidden)
+            loss = hidden_mse(dec.data, target, hidden)
             singles = []
             for i in range(3):
                 z_i = encode_visible(Tensor(tokens[i][None]), masks[i][None], backbone)
                 dec_i = decode_full(z_i, masks[i][None], decoder)
                 assert np.array_equal(z_vis.data[i], z_i.data[0])
                 assert np.array_equal(dec.data[i], dec_i.data[0])
-                singles.append(float(masked_mse(dec_i, target[i][None], hidden[i][None]).data))
+                singles.append(hidden_mse(dec_i.data, target[i][None], hidden[i][None]))
     assert z_vis.shape == (3, 2, 8) and dec.shape == (3, 4, 8)
-    assert float(loss.data) == pytest.approx(np.mean(singles), rel=1e-12)
+    assert loss == pytest.approx(np.mean(singles), rel=1e-12)
 
 
 def test_masked_view_representation_composition(rng):
@@ -510,87 +513,10 @@ def test_lof_loss_decreases_over_optimization(rng):
     assert last < first
 
 
-# -- MAE baseline -------------------------------------------------------------------
-
-
-def test_masked_mse_perfect_reconstruction_is_zero(rng):
-    target = rng.normal(size=(4, 8)).astype(np.float32)
-    hidden = np.array([1, 3])
-    loss = masked_mse(Tensor(target[None].copy()), target[None], hidden[None])
-    assert float(loss.data) == 0.0
-
-
-def test_masked_mse_empty_hidden_is_zero(rng):
-    target = rng.normal(size=(4, 8)).astype(np.float32)
-    loss = masked_mse(Tensor(target[None] + 1.0), target[None], np.zeros((1, 0), dtype=np.int64))
-    assert float(loss.data) == 0.0
-
-
-def test_mae_recon_all_visible_is_zero(rng):
-    backbone, decoder = tiny_model(with_recon_head=True)
-    x = Tensor(rng.normal(size=(2, 2, 32)).astype(np.float32))
-    masks = np.zeros((2, 4), dtype=bool)
-    loss = mae_recon_loss(x, backbone, decoder, MaskConfig(0.8, 1), masks=masks,
-                          training=False)
-    assert float(loss.data) == 0.0
-
-
-def test_mae_recon_requires_head(rng):
-    backbone, decoder = tiny_model(with_recon_head=False)
-    x = Tensor(rng.normal(size=(1, 2, 32)).astype(np.float32))
-    with pytest.raises(ConfigError, match="reconstruction head"):
-        mae_recon_loss(x, backbone, decoder, MaskConfig(0.8, 1))
-
-
-def test_mae_recon_matches_loop_oracle(rng):
-    with use_dtype(np.float64):
-        backbone, decoder = tiny_model(with_recon_head=True)
-        xs = rng.normal(size=(2, 2, 32))
-        masks = np.array([[True, False, True, False],
-                          [False, True, True, False]])
-        with no_grad():
-            loss = mae_recon_loss(Tensor(xs), backbone, decoder, MaskConfig(0.8, 1),
-                                  masks=masks, training=False)
-            # oracle: per-sample forward, masked squared error over hidden entries
-            total, count = 0.0, 0
-            for j in range(2):
-                x = Tensor(xs[j][None])
-                target = backbone.patcher(x).data[0]
-                tokens = backbone.tokens_with_pe(x)
-                z_vis = encode_visible(tokens, masks[j][None], backbone)
-                recon = decoder.recon_head(decode_full(z_vis, masks[j][None], decoder)).data[0]
-                hidden = np.flatnonzero(masks[j])
-                total += ((recon[hidden] - target[hidden]) ** 2).sum()
-                count += hidden.size * 8
-        assert float(loss.data) == pytest.approx(total / count, rel=1e-6)
-
-
-def test_mae_recon_grads_match_finite_differences(rng):
-    from conftest import assert_grads_close, central_diff
-
-    with use_dtype(np.float64):
-        backbone, decoder = tiny_model(with_recon_head=True)
-        x = rng.normal(size=(3, 2, 32))
-        masks = sample_masks(4, MaskConfig(0.5, 3, rng_seed=2))
-
-        def value():
-            return mae_recon_loss(Tensor(x), backbone, decoder, MaskConfig(0.5, 1),
-                                  masks=masks, training=False)
-
-        value().backward()
-        recon_weight = decoder.named_params()["recon.weight"]
-        for label, param in (("mask_token", decoder.mask_token), ("recon.weight", recon_weight)):
-            fd = central_diff(lambda: float(value().data), param.data, step=1e-6)
-            assert_grads_close(param.grad, fd, rtol=1e-5, atol=1e-8, label=label)
-
-
 def test_stacked_masks_hiding_different_counts_name_the_mask(rng):
-    backbone, decoder = tiny_model(with_recon_head=True)
-    x = Tensor(rng.normal(size=(3, 2, 32)).astype(np.float32))
+    backbone, _ = tiny_model()
     masks = np.array([[True, False, True, False], [False, True, True, False],
                       [True, False, False, False]])
-    with pytest.raises(ShapeError, match="mask 2 hides 1"):
-        mae_recon_loss(x, backbone, decoder, MaskConfig(0.8, 1), masks=masks)
     tokens = Tensor(rng.normal(size=(3, 4, 8)).astype(np.float32))
     with pytest.raises(ShapeError, match="mask 2"):
         encode_visible(tokens, masks, backbone)
@@ -604,12 +530,3 @@ def test_lof_loss_rejects_masks_of_the_wrong_shape(rng, shape):
     with pytest.raises(ShapeError, match=r"must have shape \(2, 2, 4\)"):
         lof_loss(x, backbone, decoder, MaskConfig(0.5, 2), TCRConfig(),
                  masks=np.zeros(shape, dtype=bool), training=False)
-
-
-@pytest.mark.parametrize("shape", [(3, 4), (2, 5), (2, 1, 4)], ids=["batch", "patches", "rank"])
-def test_mae_recon_rejects_masks_of_the_wrong_shape(rng, shape):
-    backbone, decoder = tiny_model(with_recon_head=True)
-    x = Tensor(rng.normal(size=(2, 2, 32)).astype(np.float32))
-    with pytest.raises(ShapeError, match=r"must have shape \(2, 4\)"):
-        mae_recon_loss(x, backbone, decoder, MaskConfig(0.5, 1),
-                       masks=np.zeros(shape, dtype=bool), training=False)

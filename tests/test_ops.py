@@ -271,6 +271,41 @@ def test_batchnorm_grad_matches_finite_differences(rng):
         assert_grads_close(x.grad, fd, rtol=1e-4, label="batchnorm x")
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_eval_without_graph_equals_the_composed_expression(rng, dtype):
+    with use_dtype(dtype):
+        gamma = parameter(rng.uniform(0.5, 1.5, 3))
+        beta = parameter(rng.normal(size=3))
+        rm = rng.normal(size=3).astype(dtype)
+        rv = rng.uniform(0.1, 3.0, size=3).astype(dtype)
+        x = rng.normal(1.0, 4.0, size=(5, 3, 7)).astype(dtype)
+        composed = ops.batchnorm1d(Tensor(x), gamma, beta, rm, rv, 0.1, 1e-5, training=False)
+        assert composed._backward is not None  # gamma and beta record a graph here
+        with no_grad():
+            in_place = ops.batchnorm1d(Tensor(x), gamma, beta, rm, rv, 0.1, 1e-5,
+                                       training=False)
+    assert in_place.data.dtype == composed.data.dtype == dtype
+    assert np.array_equal(in_place.data, composed.data)
+    assert not np.shares_memory(in_place.data, x)
+
+
+def test_batchnorm_eval_grads_match_finite_differences(rng):
+    with use_dtype(np.float64):
+        x = parameter(rng.normal(size=(3, 2, 5)))
+        gamma = parameter(rng.uniform(0.5, 1.5, 2))
+        beta = parameter(rng.normal(size=2))
+        rm, rv = rng.normal(size=2), rng.uniform(0.5, 2.0, size=2)
+        r = Tensor(rng.normal(size=(3, 2, 5)))
+
+        def loss():
+            return (ops.batchnorm1d(x, gamma, beta, rm, rv, 0.1, 1e-5, False) * r).sum()
+
+        loss().backward()
+        for label, p in (("x", x), ("gamma", gamma), ("beta", beta)):
+            fd = central_diff(lambda: float(loss().data), p.data)
+            assert_grads_close(p.grad, fd, rtol=1e-6, label=f"batchnorm eval {label}")
+
+
 # -- gelu ---------------------------------------------------------------
 
 

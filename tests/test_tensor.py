@@ -248,14 +248,6 @@ def test_expand_grad_sums_over_new_axes():
         assert np.array_equal(x.grad, 4.0 * np.ones((1, 3)))
 
 
-def test_detach_blocks_gradient():
-    x = parameter(np.ones(3))
-    (x.detach() * 2.0).sum()
-    loss = (x * x.detach()).sum()
-    loss.backward()
-    assert np.allclose(x.grad, x.data)
-
-
 def test_no_grad_builds_no_graph():
     x = parameter(np.ones(3))
     with no_grad():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from mtslof import backbone, training
 from mtslof.backbone import EncoderConfig, PatcherConfig
 from mtslof.checkpoint import load_checkpoint, save_checkpoint
 from mtslof.data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic
-from mtslof.errors import ConfigError, NumericError, ShapeError
+from mtslof.errors import CheckpointMismatchError, ConfigError, NumericError, ShapeError
 from mtslof.objective import MaskConfig, TCRConfig
 from mtslof.tensor import parameter, use_dtype
 from mtslof.training import (
@@ -384,3 +385,40 @@ def test_transfer_same_dataset_reproduces_probe(tiny_splits, tmp_path):
     _, direct = linear_probe(train, val, test, backbone2, opt, seed=13)
     assert via_transfer.accuracy == pytest.approx(direct.accuracy)
     assert via_transfer.macro_f1 == pytest.approx(direct.macro_f1)
+
+
+def test_transfer_metrics_equal_a_random_init_then_loaded_model(tiny_splits, tmp_path,
+                                                                monkeypatch):
+    train, _, _, stats = tiny_splits
+    path = str(tmp_path / "src.ckpt")
+    pretrain(train, None, *tiny_model(seed=21), MaskConfig(0.8, 2), TCRConfig(),
+             OptimConfig(epochs=1, batch_size=8), seed=21, checkpoint_path=path,
+             norm_stats=stats)
+    target = generate_synthetic(SyntheticConfig(class_count=3, channels=2, length=32,
+                                                samples_per_class=12, seed=6))
+
+    def transfer():
+        _, m = transfer_eval(path, target, PATCHER, ENCODER, SplitSpec(seed=0),
+                             OptimConfig(epochs=2, batch_size=16), seed=21, decoder_depth=1)
+        return m.accuracy, m.macro_f1, m.per_class_f1.tolist(), m.confusion.tolist()
+
+    draws = []
+    trunc_normal = backbone.trunc_normal
+
+    def record(rng, shape, std=0.02):
+        draws.append(tuple(shape))
+        return trunc_normal(rng, shape, std)
+
+    monkeypatch.setattr(backbone, "trunc_normal", record)
+    direct = transfer()
+    assert draws == [(3, 8)]  # the probe's fresh head; the load itself draws nothing
+
+    build_model_ = training.build_model
+    monkeypatch.setattr(training, "build_model", lambda *args, seed=0, **kwargs: build_model_(
+        *args, seed=12345 if seed is None else seed, **kwargs))
+    assert transfer() == direct
+
+    with pytest.raises(CheckpointMismatchError) as exc:
+        transfer_eval(path, target, PATCHER, ENCODER, SplitSpec(seed=0), OptimConfig(epochs=1),
+                      seed=21, decoder_depth=2)
+    assert str(exc.value) == "checkpoint is missing tensor 'decoder.block1.norm1.scale'"
