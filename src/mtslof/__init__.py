@@ -23,9 +23,7 @@ from .objective import (
     decode_full,
     encode_visible,
     lof_loss,
-    masked_view_representation,
     sample_masks,
-    sim_loss,
     tcr_loss,
 )
 from .tensor import Tensor, no_grad, parameter, use_dtype

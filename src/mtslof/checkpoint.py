@@ -81,7 +81,7 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         if bad.size:
             raise DataFormatError(f"tensor {name!r} holds a non-finite value at element "
                                   f"{bad[0]} of its payload", offset=off)
-        out[name] = arr.astype(dtype.newbyteorder("=")).copy()
+        out[name] = arr.astype(dtype.newbyteorder("="))
         off += nbytes
     if off != len(blob):
         raise DataFormatError(f"{len(blob) - off} trailing bytes after payloads", offset=off)
@@ -102,4 +102,4 @@ def apply_state(targets: dict, loaded: dict[str, np.ndarray]) -> None:
             raise CheckpointMismatchError(
                 f"shape mismatch for {name!r}: checkpoint {tuple(arr.shape)}, model {tuple(dest.shape)}"
             )
-        dest[...] = arr.astype(dest.dtype)
+        dest[...] = arr

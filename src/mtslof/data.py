@@ -142,7 +142,6 @@ class SyntheticConfig:
     seed: int = 0
     phase_jitter: float = 0.0
     signature_seed: int | None = None     # None reuses `seed`
-    signatures: list[ClassSignature] | None = None
 
     def __post_init__(self):
         if min(self.class_count, self.channels, self.length, self.samples_per_class) < 1:
@@ -153,12 +152,8 @@ class SyntheticConfig:
 
 def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
     """Deterministic labeled dataset from per-class signatures plus noise."""
-    sigs = cfg.signatures
-    if sigs is None:
-        sig_seed = cfg.seed if cfg.signature_seed is None else cfg.signature_seed
-        sigs = default_signatures(cfg.class_count, cfg.channels, sig_seed)
-    if len(sigs) != cfg.class_count:
-        raise ConfigError(f"{len(sigs)} signatures for {cfg.class_count} classes")
+    sig_seed = cfg.seed if cfg.signature_seed is None else cfg.signature_seed
+    sigs = default_signatures(cfg.class_count, cfg.channels, sig_seed)
 
     rng = np.random.default_rng(cfg.seed)
     t = np.arange(cfg.length, dtype=np.float64) / cfg.length
@@ -323,15 +318,14 @@ def normalize(ds: Dataset, stats: NormStats | None = None) -> tuple[Dataset, Nor
     return out, stats
 
 
-def batch_iter(ds: Dataset, batch_size: int, seed: int, epoch: int, shuffle: bool = True):
-    """Yield (samples, labels) batches; order is keyed on (seed, epoch);
+def batch_iter(x: np.ndarray, y: np.ndarray, batch_size: int, seed: int, epoch: int,
+               shuffle: bool = True):
+    """Yield (x, y) batches of rows; order is keyed on (seed, epoch);
     the final short batch is kept."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be positive, got {batch_size}")
-    if shuffle:
-        order = np.random.default_rng([seed, epoch]).permutation(ds.n)
-    else:
-        order = np.arange(ds.n)
-    for start in range(0, ds.n, batch_size):
+    n = x.shape[0]
+    order = np.random.default_rng([seed, epoch]).permutation(n) if shuffle else np.arange(n)
+    for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        yield ds.samples[idx], ds.labels[idx]
+        yield x[idx], y[idx]

@@ -199,30 +199,12 @@ def decode_full(z_vis: Tensor, mask: np.ndarray, decoder: Decoder,
     return decoder(assemble_decoder_input(z_vis, mask, decoder), training, rng)
 
 
-def masked_view_representation(x: Tensor, mask: np.ndarray, backbone: Backbone,
-                               decoder: Decoder, training: bool = False,
-                               rng: np.random.Generator | None = None) -> Tensor:
-    """Pooled decoder outputs, one masked view per sample: x (b, m, t) and
-    masks (b, p) give (b, d). The reference that `lof_loss` is tested against."""
-    tokens_pe = backbone.tokens_with_pe(x, training)
-    z_vis = encode_visible(tokens_pe, mask, backbone, training, rng)
-    return ops.mean_pool(decode_full(z_vis, mask, decoder, training, rng))
-
-
 # -- losses ---------------------------------------------------------------
 
 
 def _cosine(zn: Tensor, vn: Tensor) -> Tensor:
     """Cosines of unit rows: (..., d) against (..., n, d) gives (..., n)."""
     return (reshape(zn, zn.data.shape[:-1] + (1, zn.data.shape[-1])) * vn).sum(axis=-1)
-
-
-def sim_loss(z: Tensor, views: Tensor) -> Tensor:
-    """Negative mean cosine similarity between z (..., d) and its views (..., n, d)."""
-    if views.data.ndim != z.data.ndim + 1 or views.data.shape[-2] == 0:
-        raise ShapeError(f"sim_loss needs views (..., n, d) with n >= 1 for z {z.data.shape}, "
-                         f"got {views.data.shape}")
-    return -_cosine(ops.l2_normalize(z), ops.l2_normalize(views)).mean()
 
 
 def _tcr_from_normalized(zn: Tensor, epsilon: float) -> Tensor:

@@ -335,11 +335,6 @@ def _standardize(x: Tensor, axes, eps: float) -> tuple[Tensor, np.ndarray, np.nd
     return _from_op(xhat, (x,), backward), mu, var
 
 
-def normalize_moments(x: Tensor, axes, eps: float) -> Tensor:
-    """(x - mean) / sqrt(var + eps) over `axes`, differentiating through the stats."""
-    return _standardize(x, tuple(ax % x.data.ndim for ax in axes), eps)[0]
-
-
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-slice normalization over the last (feature) axis with learnable
     (d,) scale and shift."""
@@ -450,11 +445,10 @@ def mean_pool(z: Tensor) -> Tensor:
     return z.mean(axis=-2)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False):
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention over all positions, as one graph node.
 
     Operates on (..., p, d_k) stacks; weights are softmax(q k^T / sqrt(d_k)).
-    With `return_weights` the weights come back too, as a constant tensor.
     Backward keeps only the weights and rebuilds the rest from q, k and v.
     """
     scale = float(1.0 / np.sqrt(q.data.shape[-1]))
@@ -462,21 +456,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False):
     scores *= scale
     weights = _softmax_rows(scores)
     data = weights @ v.data
-    out = _const(data)
-    if _tracking(q, k, v):
-        def backward(g):
-            if v.requires_grad:
-                accumulate(v, np.swapaxes(weights, -1, -2) @ g)
-            if q.requires_grad or k.requires_grad:
-                gs = _softmax_rows_vjp(weights, g @ np.swapaxes(v.data, -1, -2))
-                gs *= scale
-                if q.requires_grad:
-                    accumulate(q, gs @ k.data)
-                if k.requires_grad:
-                    accumulate(k, np.swapaxes(gs, -1, -2) @ q.data)
+    if not _tracking(q, k, v):
+        return _const(data)
 
-        out = _from_op(data, (q, k, v), backward)
-    return (out, _const(weights)) if return_weights else out
+    def backward(g):
+        if v.requires_grad:
+            accumulate(v, np.swapaxes(weights, -1, -2) @ g)
+        if q.requires_grad or k.requires_grad:
+            gs = _softmax_rows_vjp(weights, g @ np.swapaxes(v.data, -1, -2))
+            gs *= scale
+            if q.requires_grad:
+                accumulate(q, gs @ k.data)
+            if k.requires_grad:
+                accumulate(k, np.swapaxes(gs, -1, -2) @ q.data)
+
+    return _from_op(data, (q, k, v), backward)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:

@@ -80,19 +80,10 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     # -- autodiff ------------------------------------------------------
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar into all reachable leaves."""
@@ -126,9 +117,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, k):
-        return power(self, k)
 
     def exp(self):
         return exp(self)
@@ -325,17 +313,6 @@ def div(a, b) -> Tensor:
             accumulate(b, unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _from_op(data, (a, b), backward)
-
-
-def power(a: Tensor, k: float) -> Tensor:
-    data = a.data ** k
-    if not _tracking(a):
-        return _const(data)
-
-    def backward(g):
-        accumulate(a, g * k * a.data ** (k - 1))
-
-    return _from_op(data, (a,), backward)
 
 
 def exp(a: Tensor) -> Tensor:

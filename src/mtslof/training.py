@@ -35,6 +35,10 @@ class OptimConfig:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("betas must lie in [0, 1)")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not self.eps > 0:
+            raise ConfigError(f"adam_eps must be positive, got {self.eps}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
 
@@ -300,6 +304,27 @@ def _pretrain_params(backbone: Backbone, decoder: Decoder) -> dict[str, Tensor]:
     return params
 
 
+def _train_epoch(optim: AdamW, x: np.ndarray, y: np.ndarray, optcfg: OptimConfig,
+                 seed: int, epoch: int, loss_of) -> float:
+    """One epoch of AdamW steps on `loss_of(xb, yb)` over the batches of
+    `batch_iter`; returns the mean step loss.
+
+    An `MtslofError` of any step comes out with its own type, prefixed
+    `epoch E step S: `.
+    """
+    losses = []
+    for step, (xb, yb) in enumerate(batch_iter(x, y, optcfg.batch_size, seed, epoch)):
+        try:
+            loss = loss_of(xb, yb)
+            optim.zero_grad()
+            loss.backward()
+            optim.step()
+        except MtslofError as exc:
+            raise type(exc)(f"epoch {epoch} step {step}: {exc}") from exc
+        losses.append(float(loss.data))
+    return float(np.mean(losses))
+
+
 def pretrain(train_ds: Dataset, val_ds: Dataset | None, backbone: Backbone,
              decoder: Decoder, maskcfg: MaskConfig, tcrcfg: TCRConfig,
              optcfg: OptimConfig, seed: int,
@@ -315,23 +340,19 @@ def pretrain(train_ds: Dataset, val_ds: Dataset | None, backbone: Backbone,
           else contextlib.nullcontext()) as shards:
         for epoch in range(optcfg.epochs):
             rng = np.random.default_rng([seed, epoch])
-            losses = []
-            for step, (xb, _) in enumerate(batch_iter(train_ds, optcfg.batch_size, seed, epoch)):
-                try:
-                    loss, _ = lof_loss(Tensor(xb), backbone, decoder, maskcfg, tcrcfg,
-                                       rng=rng, training=True, shards=shards)
-                    optim.zero_grad()
-                    loss.backward()
-                    optim.step()
-                except MtslofError as exc:
-                    raise type(exc)(f"epoch {epoch} step {step}: {exc}") from exc
-                losses.append(float(loss.data))
-            run.record(epoch, "train", float(np.mean(losses)), class_count=c)
+
+            def loss_of(xb, _):
+                return lof_loss(Tensor(xb), backbone, decoder, maskcfg, tcrcfg,
+                                rng=rng, training=True, shards=shards)[0]
+
+            run.record(epoch, "train", _train_epoch(optim, train_ds.samples, train_ds.labels,
+                                                    optcfg, seed, epoch, loss_of), class_count=c)
             if val_ds is not None and val_ds.n:
                 vrng = np.random.default_rng([seed, epoch, 1])
                 vlosses = []
                 with no_grad():
-                    for xb, _ in batch_iter(val_ds, optcfg.batch_size, seed, epoch, shuffle=False):
+                    for xb, _ in batch_iter(val_ds.samples, val_ds.labels, optcfg.batch_size,
+                                           seed, epoch, shuffle=False):
                         vloss, _ = lof_loss(Tensor(xb), backbone, decoder, maskcfg, tcrcfg,
                                             rng=vrng, training=False, shards=shards)
                         vlosses.append(float(vloss.data))
@@ -342,31 +363,6 @@ def pretrain(train_ds: Dataset, val_ds: Dataset | None, backbone: Backbone,
                         model_state(backbone, decoder, norm_stats, train_ds.length))
         run.checkpoint_path = checkpoint_path
     return run
-
-
-def _train_head_on_features(features: dict[str, tuple[np.ndarray, np.ndarray]],
-                            head: Linear, optcfg: OptimConfig, seed: int,
-                            class_count: int, run: TrainRun) -> None:
-    """Cross-entropy training of a linear head on cached representations."""
-    optim = AdamW(head.named_tensors("head."), optcfg)
-    x_train, y_train = features["train"]
-    n = x_train.shape[0]
-    for epoch in range(optcfg.epochs):
-        order = np.random.default_rng([seed, epoch]).permutation(n)
-        losses = []
-        for start in range(0, n, optcfg.batch_size):
-            idx = order[start : start + optcfg.batch_size]
-            logits = head(Tensor(x_train[idx]))
-            loss = ops.cross_entropy(logits, y_train[idx])
-            optim.zero_grad()
-            loss.backward()
-            optim.step()
-            losses.append(float(loss.data))
-        run.record(epoch, "train", float(np.mean(losses)),
-                   _head_eval(head, x_train, y_train, class_count)[1])
-        if "val" in features and features["val"][0].shape[0]:
-            xv, yv = features["val"]
-            run.record(epoch, "val", *_head_eval(head, xv, yv, class_count))
 
 
 def _head_eval(head: Linear, x: np.ndarray, y: np.ndarray,
@@ -393,7 +389,14 @@ def linear_probe(train_ds: Dataset, val_ds: Dataset | None, test_ds: Dataset,
     if val_ds is not None and val_ds.n:
         feats["val"] = (compute_representations(backbone, val_ds), val_ds.labels)
     head = Linear(backbone.encoder_cfg.model_dim, c, np.random.default_rng(seed))
-    _train_head_on_features(feats, head, optcfg, seed, c, run)
+    optim = AdamW(head.named_tensors("head."), optcfg)
+    x_train, y_train = feats["train"]
+    for epoch in range(optcfg.epochs):
+        loss = _train_epoch(optim, x_train, y_train, optcfg, seed, epoch,
+                            lambda xb, yb: ops.cross_entropy(head(Tensor(xb)), yb))
+        run.record(epoch, "train", loss, _head_eval(head, x_train, y_train, c)[1])
+        if "val" in feats:
+            run.record(epoch, "val", *_head_eval(head, *feats["val"], c))
     test_loss, metrics = _head_eval(head, *feats["test"], c)
     run.record(optcfg.epochs, "test", test_loss, metrics)
     backbone.head = head
@@ -416,8 +419,8 @@ def finetune(train_ds: Dataset, val_ds: Dataset | None, test_ds: Dataset,
     run = TrainRun(seed=seed, mode="finetune")
     c = test_ds.class_count
     idx = select_fraction(train_ds.n, fraction, seed)
-    subset = train_ds.subset(idx, train_ds.name + f":frac{fraction}")
-    present = np.unique(subset.labels)
+    x, y = train_ds.samples[idx], train_ds.labels[idx]
+    present = np.unique(y)
     if present.size < c:
         missing = sorted(set(range(c)) - set(present.tolist()))
         run.warnings.append(f"classes {missing} absent from the {fraction} fraction subset")
@@ -427,18 +430,13 @@ def finetune(train_ds: Dataset, val_ds: Dataset | None, test_ds: Dataset,
     optim = AdamW(backbone.named_params(), optcfg)
     for epoch in range(optcfg.epochs):
         rng = np.random.default_rng([seed, epoch])
-        losses = []
-        for step, (xb, yb) in enumerate(batch_iter(subset, optcfg.batch_size, seed, epoch)):
+
+        def loss_of(xb, yb):
             logits = backbone.classify(backbone.represent(Tensor(xb), training=True, rng=rng))
-            loss = ops.cross_entropy(logits, yb)
-            optim.zero_grad()
-            loss.backward()
-            try:
-                optim.step()
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch} step {step}: {exc}") from exc
-            losses.append(float(loss.data))
-        run.record(epoch, "train", float(np.mean(losses)), class_count=c)
+            return ops.cross_entropy(logits, yb)
+
+        run.record(epoch, "train", _train_epoch(optim, x, y, optcfg, seed, epoch, loss_of),
+                   class_count=c)
         if val_ds is not None and val_ds.n:
             run.record(epoch, "val", float("nan"), evaluate(backbone, val_ds))
     metrics = evaluate(backbone, test_ds)

@@ -508,6 +508,25 @@ def test_non_finite_hyperparameters_rejected(workdir, tmp_path, capsys, flag, ke
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("setting, key", [
+    (["--weight-decay", "-5", "--lr", "0.1"], "weight_decay"),
+    ("adam_eps=0", "adam_eps"),
+    ("adam_eps=-1", "adam_eps"),
+], ids=["weight-decay", "adam-eps-zero", "adam-eps-negative"])
+def test_out_of_range_optimizer_settings_rejected(workdir, tmp_path, capsys, setting, key):
+    out = str(tmp_path / "x.csv")
+    ckpt = str(tmp_path / "x.ckpt")
+    if isinstance(setting, str):
+        cfg = tmp_path / "optim.cfg"
+        cfg.write_text(setting + "\n")
+        setting = ["--config", str(cfg)]
+    code = main(["pretrain", "--data", workdir["data"], "--checkpoint", ckpt,
+                 "--out", out, "--epochs", "2", *TINY, *setting])
+    assert code == 1
+    assert f"error: {key} must be " in capsys.readouterr().err
+    assert not os.path.exists(out) and not os.path.exists(ckpt)
+
+
 def test_ablate_grid_rows_and_dedup(workdir, tmp_path):
     out = str(tmp_path / "abl.csv")
     code = main(["ablate", "--data", workdir["data"], "--out", out,

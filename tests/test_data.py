@@ -310,7 +310,7 @@ def test_train_stats_independent_of_other_splits():
 def test_batch_iter_partitions_split():
     ds = generate_synthetic(small_cfg())
     seen = []
-    for xb, yb in batch_iter(ds, 7, seed=1, epoch=0):
+    for xb, yb in batch_iter(ds.samples, ds.labels, 7, seed=1, epoch=0):
         assert xb.shape[0] == yb.shape[0]
         seen.extend(xb[:, 0, 0].tolist())
     assert len(seen) == ds.n
@@ -319,15 +319,15 @@ def test_batch_iter_partitions_split():
 
 def test_batch_iter_single_batch_when_large():
     ds = generate_synthetic(small_cfg())
-    batches = list(batch_iter(ds, 10_000, seed=0, epoch=0))
+    batches = list(batch_iter(ds.samples, ds.labels, 10_000, seed=0, epoch=0))
     assert len(batches) == 1
     assert batches[0][0].shape[0] == ds.n
 
 
 def test_batch_iter_keyed_on_seed_and_epoch():
     ds = generate_synthetic(small_cfg())
-    a = [y.tolist() for _, y in batch_iter(ds, 8, seed=3, epoch=1)]
-    b = [y.tolist() for _, y in batch_iter(ds, 8, seed=3, epoch=1)]
-    c = [y.tolist() for _, y in batch_iter(ds, 8, seed=3, epoch=2)]
+    a = [y.tolist() for _, y in batch_iter(ds.samples, ds.labels, 8, seed=3, epoch=1)]
+    b = [y.tolist() for _, y in batch_iter(ds.samples, ds.labels, 8, seed=3, epoch=1)]
+    c = [y.tolist() for _, y in batch_iter(ds.samples, ds.labels, 8, seed=3, epoch=2)]
     assert a == b
     assert a != c

@@ -18,9 +18,7 @@ from mtslof.objective import (
     encode_visible,
     hidden_count,
     lof_loss,
-    masked_view_representation,
     sample_masks,
-    sim_loss,
     tcr_loss,
 )
 from mtslof.tensor import Tensor, no_grad, use_dtype
@@ -33,6 +31,24 @@ ENCODER = EncoderConfig(model_dim=8, heads=2, depth=1, ffn_multiplier=2, dropout
 
 def tiny_model(seed=0, decoder_depth=2):
     return build_model(PATCHER, ENCODER, class_count=3, decoder_depth=decoder_depth, seed=seed)
+
+
+def masked_view_representation(x: Tensor, mask: np.ndarray, backbone: Backbone,
+                               decoder: Decoder, training: bool = False,
+                               rng: np.random.Generator | None = None) -> Tensor:
+    """Pooled decoder outputs, one masked view per sample: x (b, m, t) and
+    masks (b, p) give (b, d). The reference that `lof_loss` is tested against."""
+    tokens_pe = backbone.tokens_with_pe(x, training)
+    z_vis = encode_visible(tokens_pe, mask, backbone, training, rng)
+    return ops.mean_pool(decode_full(z_vis, mask, decoder, training, rng))
+
+
+def sim_loss(z: Tensor, views: Tensor) -> Tensor:
+    """Negative mean cosine similarity between z (..., d) and its views (..., n, d):
+    the reference for the similarity term of `lof_loss`."""
+    zn = ops.l2_normalize(z)
+    zn = zn.reshape(zn.data.shape[:-1] + (1, zn.data.shape[-1]))
+    return -(zn * ops.l2_normalize(views)).sum(axis=-1).mean()
 
 
 def hidden_mse(recon: np.ndarray, target: np.ndarray, hidden: np.ndarray) -> float:

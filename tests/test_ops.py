@@ -446,11 +446,17 @@ def test_layer_norm_grad_on_4x8(rng):
                 assert_grads_close(tensor.grad, fd, rtol=1e-4, label=f"layer_norm {label} {shape}")
 
 
+def normalize_moments(x: Tensor, axes, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) over `axes`, differentiating through the
+    stats: the composed reference for `ops.layer_norm`."""
+    return ops._standardize(x, tuple(ax % x.data.ndim for ax in axes), eps)[0]
+
+
 def test_layer_norm_forward_bit_equal_to_composed_expression(rng):
     x = parameter(rng.normal(3.0, 2.0, size=(5, 7, 16)))
     scale = parameter(rng.uniform(0.5, 1.5, 16))
     shift = parameter(rng.normal(size=16))
-    composed = ops.normalize_moments(x, (-1,), 1e-5) * scale + shift
+    composed = normalize_moments(x, (-1,), 1e-5) * scale + shift
     out = ops.layer_norm(x, scale, shift, 1e-5)
     assert out.data.dtype == np.float32
     assert np.array_equal(out.data, composed.data)
@@ -655,26 +661,32 @@ def test_attention_matches_three_loop_oracle(rng):
         assert np.allclose(out.data, expect, atol=1e-6)
 
 
+def attention_weights(q: Tensor, k: Tensor) -> Tensor:
+    """softmax(q k^T / sqrt(d_k)), read as attention over one-hot values:
+    weights @ I is the weights, bit for bit."""
+    p = k.data.shape[-2]
+    eye = np.broadcast_to(np.eye(p, dtype=k.data.dtype), k.data.shape[:-1] + (p,))
+    return ops.attention(q, k, Tensor(eye.copy()))
+
+
 def test_attention_weights_row_stochastic(rng):
-    out, weights = ops.attention(Tensor(rng.normal(size=(2, 4, 3)).astype(np.float32)),
-                                 Tensor(rng.normal(size=(2, 4, 3)).astype(np.float32)),
-                                 Tensor(rng.normal(size=(2, 4, 3)).astype(np.float32)),
-                                 return_weights=True)
+    weights = attention_weights(Tensor(rng.normal(size=(2, 4, 3)).astype(np.float32)),
+                                Tensor(rng.normal(size=(2, 4, 3)).astype(np.float32)))
     assert np.all(weights.data >= 0)
     assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_attention_is_one_node_on_q_k_v(rng):
     q, k, v = (parameter(rng.normal(size=(2, 3, 5, 4))) for _ in range(3))
-    out, weights = ops.attention(q, k, v, return_weights=True)
+    out = ops.attention(q, k, v)
     assert len(out._parents) == 3
     assert all(p is t for p, t in zip(out._parents, (q, k, v)))
-    assert not weights.requires_grad
 
 
 def test_attention_return_weights_match_numpy_reference(rng):
     q, k, v = (rng.normal(size=(2, 3, 6, 4)).astype(np.float32) for _ in range(3))
-    out, weights = ops.attention(Tensor(q), Tensor(k), Tensor(v), return_weights=True)
+    out = ops.attention(Tensor(q), Tensor(k), Tensor(v))
+    weights = attention_weights(Tensor(q), Tensor(k))
     scores = q.astype(np.float64) @ np.swapaxes(k, -1, -2) / 2.0
     expect = np.exp(scores - scores.max(axis=-1, keepdims=True))
     expect /= expect.sum(axis=-1, keepdims=True)

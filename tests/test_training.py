@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mtslof import backbone, training
+from mtslof import backbone, ops, tensor, training
 from mtslof.backbone import EncoderConfig, PatcherConfig
 from mtslof.checkpoint import load_checkpoint, save_checkpoint
 from mtslof.data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic
@@ -331,6 +331,31 @@ def test_finetune_memorizes_tiny_train_split(tiny_splits):
                       OptimConfig(learning_rate=1e-2, epochs=40, batch_size=10), seed=3)
     metrics = evaluate(backbone, small)
     assert metrics.accuracy == 1.0
+
+
+@pytest.mark.parametrize("mode", ["finetune", "probe"])
+def test_a_step_error_names_its_epoch_and_step(tiny_splits, monkeypatch, mode):
+    train, val, test, _ = tiny_splits
+    opt = OptimConfig(learning_rate=2e-3, epochs=2, batch_size=8)
+    steps = -(-train.n // opt.batch_size)
+    real = ops.cross_entropy
+    calls = []
+
+    def cross_entropy(logits, labels):
+        # Graph-free calls are the probe's evaluations; only steps count.
+        if tensor.grad_enabled():
+            calls.append(None)
+            if len(calls) == steps + 2:
+                raise NumericError("non-finite logits")
+        return real(logits, labels)
+
+    monkeypatch.setattr(ops, "cross_entropy", cross_entropy)
+    backbone, _ = tiny_model()
+    with pytest.raises(NumericError, match="^epoch 1 step 1: non-finite logits$"):
+        if mode == "finetune":
+            finetune(train, val, test, backbone, 1.0, opt, seed=0)
+        else:
+            linear_probe(train, val, test, backbone, opt, seed=0)
 
 
 # -- transfer -----------------------------------------------------------------
