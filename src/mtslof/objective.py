@@ -11,7 +11,6 @@ collapsing.
 from __future__ import annotations
 
 import contextlib
-import copy
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -238,9 +237,9 @@ def tcr_loss(zbatch: Tensor, cfg: TCRConfig) -> Tensor:
 # The masked views are independent until the loss, and the loss is a sum
 # over masks. So the branch runs as SHARDS fixed shards of the mask axis:
 # shard 0 takes masks [0, N // 2) and shard 1 takes [N // 2, N). Each shard
-# runs on its own leaf copies of the encoder and decoder parameters, so
-# its gradients can be added into the model's in a fixed order, whether
-# it ran in this process or in a worker.
+# runs on the model itself and replies with its own gradients only, so they
+# can be added into the model's in a fixed order, whether it ran in this
+# process or in a worker.
 
 SHARDS = 2
 _forward_ids = itertools.count()
@@ -277,33 +276,22 @@ def _shard_loss(tokens_pe: Tensor, zfn: Tensor, masks: np.ndarray, backbone: Bac
 
 
 class MaskedViewShard:
-    """The request handler of one mask shard.
-
-    It holds a replica of the encoder and decoder whose parameters are its
-    own leaves, and the graph of its last forward until that graph's
-    backward. A forward request carries the current parameter values.
-    """
+    """The request handler of one mask shard: it runs on the model it is
+    given and holds the graph of its last forward until that graph's
+    backward."""
 
     def __init__(self, backbone: Backbone, decoder: Decoder):
-        # Arrays are shared, not copied: every forward rebinds them anyway.
-        arrays = [t.data for t in (*backbone.named_params().values(),
-                                   *decoder.named_params().values())]
-        arrays += list(backbone.named_buffers().values())
-        self.backbone, self.decoder = copy.deepcopy((backbone, decoder),
-                                                    {id(a): a for a in arrays})
-        self.params = _shard_params(self.backbone, self.decoder)
+        self.backbone, self.decoder = backbone, decoder
+        self.params = _shard_params(backbone, decoder)
         self._graph = None
 
     def __call__(self, request):
         kind, args = request
         return self.forward(*args) if kind == "forward" else self.backward(*args)
 
-    def forward(self, forward_id, values, tokens_pe, zfn, masks, rng, training, grad, weights):
+    def forward(self, forward_id, tokens_pe, zfn, masks, rng, training, grad, weights):
         """Loss part, cosines and per-mask rates, as arrays."""
         self._graph = None
-        for p, value in zip(self.params, values):
-            p.data = value
-            p.grad = None
         with contextlib.nullcontext() if grad else no_grad():
             tokens = Tensor(tokens_pe, requires_grad=grad, dtype=tokens_pe.dtype)
             full = Tensor(zfn, requires_grad=grad, dtype=zfn.dtype)
@@ -314,17 +302,21 @@ class MaskedViewShard:
         return loss.data, cos.data, rates.data
 
     def backward(self, forward_id, seed):
-        """Gradients of the parameters and of the two inputs, from the
-        upstream gradient `seed` of the forward `forward_id`."""
+        """This shard's gradients of the parameters and of the two inputs,
+        from the upstream gradient `seed` of the forward `forward_id`; the
+        parameters' own gradients are held aside meanwhile and restored."""
         if self._graph is None or self._graph[0] != forward_id:
             raise GraphConsumedError("the mask shard holds no graph of this forward; "
                                      "run the forward pass again")
         _, loss, tokens, full = self._graph
         self._graph = None
-        _run_backward(loss, seed)
-        grads = [p.grad for p in self.params]
+        held = [p.grad for p in self.params]
         for p in self.params:
             p.grad = None
+        _run_backward(loss, seed)
+        grads = [p.grad for p in self.params]
+        for p, g in zip(self.params, held):
+            p.grad = g
         return grads, tokens.grad, full.grad
 
 
@@ -332,7 +324,12 @@ class MaskedViewShard:
 def masked_view_shards(backbone: Backbone, decoder: Decoder):
     """The shards `lof_loss` runs on for the length of a run: shard 0 in
     this process, shard 1 in a forked worker when one can run
-    (`parallel.runner`), with BLAS pinned to one thread."""
+    (`parallel.runner`), with BLAS pinned to one thread.
+
+    Both run on the model itself. The worker reads the parameter values of
+    each step only if they live in an `AdamW` store built before this is
+    entered; of several AdamW built over one tensor, the last one owns it.
+    """
     with parallel.runner(MaskedViewShard(backbone, decoder)) as second:
         yield [parallel.Local(MaskedViewShard(backbone, decoder)), second]
 
@@ -366,8 +363,7 @@ def _masked_views(tokens_pe: Tensor, zfn: Tensor, masks: np.ndarray, params: lis
     cuts = [0, n // 2, n] if n > 1 else [0, n]
     grad = _tracking(tokens_pe, zfn, *params)
     forward_id = next(_forward_ids)
-    values = [p.data for p in params]
-    requests = [("forward", (forward_id, values, tokens_pe.data, zfn.data, masks[:, lo:hi],
+    requests = [("forward", (forward_id, tokens_pe.data, zfn.data, masks[:, lo:hi],
                              rngs[s], training, grad, weights))
                 for s, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
     replies = _run_shards(shards, requests)

@@ -1,5 +1,5 @@
 """A second process for the pretraining step and the graph-free
-representation pass, and the one-thread BLAS policy both run under.
+representation pass, memory it shares, and the one-thread BLAS policy.
 
 A request handler is a plain callable. `runner(handler)` yields something
 that answers requests with it: a forked `Worker` when one can run, else a
@@ -15,8 +15,11 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import mmap
 import os
 import signal
+
+import numpy as np
 
 from .errors import MtslofError, WorkerError
 
@@ -69,6 +72,13 @@ def one_blas_thread():
         yield
     finally:
         set_(previous)
+
+
+def shared_zeros(n: int, dtype) -> np.ndarray:
+    """A zeroed 1-d array of `n` elements in an anonymous shared mapping, so
+    a worker forked after it is made sees every later write to it."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(n * dtype.itemsize, 1)), dtype=dtype, count=n)
 
 
 def worker_can_run() -> bool:

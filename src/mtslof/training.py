@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
+from . import ops, parallel
 from .backbone import Backbone, EncoderConfig, Linear, PatcherConfig
 from .checkpoint import apply_state, load_checkpoint, save_checkpoint
 from .data import Dataset, NormStats, SplitSpec, batch_iter, normalize, split
@@ -50,45 +50,57 @@ class AdamW:
     """Decoupled weight decay followed by a bias-corrected Adam update.
 
     The learning rate is constant; norm scales/shifts and the mask token
-    are excluded from decay.
+    are excluded from decay. Each parameter's `.data` becomes its view of
+    one flat store (`parallel.shared_zeros`) that steps update in place; a
+    missing gradient counts as zero.
     """
 
     def __init__(self, params: dict[str, Tensor], cfg: OptimConfig):
         self.params = dict(params)
         self.cfg = cfg
         self.step_count = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        dtypes = sorted({p.data.dtype.name for p in self.params.values()})
+        if len(dtypes) != 1:
+            raise ConfigError(f"AdamW needs parameters of one dtype, got {' and '.join(dtypes)}")
+        sizes = [p.data.size for p in self.params.values()]
+        self._ends = np.cumsum(sizes, dtype=np.int64)
+        self._slices = [slice(end - size, end) for end, size in zip(self._ends, sizes)]
+        self._store = parallel.shared_zeros(sum(sizes), dtypes[0])
+        self._grad, self._m, self._v, self._scratch = np.zeros((4, sum(sizes)), dtypes[0])
+        decay = 1.0 - cfg.learning_rate * cfg.weight_decay
+        self._decay = np.repeat([1.0 if name.rsplit(".", 1)[-1] in _NO_DECAY_LEAF else decay
+                                 for name in self.params], sizes).astype(dtypes[0])
+        for p, sl in zip(self.params.values(), self._slices):
+            self._store[sl] = p.data.reshape(-1)
+            p.data = self._store[sl].reshape(p.data.shape)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
-    def _decays(self, name: str) -> bool:
-        return name.rsplit(".", 1)[-1] not in _NO_DECAY_LEAF
-
     def step(self) -> None:
         cfg = self.cfg
+        g, m, v, s = self._grad, self._m, self._v, self._scratch
+        for p, sl in zip(self.params.values(), self._slices):
+            g[sl] = 0.0 if p.grad is None else p.grad.reshape(-1)
+        finite = np.isfinite(g)
+        if not finite.all():
+            name = list(self.params)[np.searchsorted(self._ends, np.argmin(finite), side="right")]
+            raise NumericError(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - cfg.beta1 ** t
         bc2 = 1.0 - cfg.beta2 ** t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is not None and not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for parameter {name!r}")
-            if cfg.weight_decay and self._decays(name):
-                p.data *= 1.0 - cfg.learning_rate * cfg.weight_decay
-            if g is None:
-                continue
-            m = self._m[name]
-            v = self._v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-            p.data -= cfg.learning_rate * update
+        self._store *= self._decay
+        m *= cfg.beta1
+        m += np.multiply(g, 1.0 - cfg.beta1, out=s)
+        v *= cfg.beta2
+        np.multiply(g, g, out=s)
+        v += np.multiply(s, 1.0 - cfg.beta2, out=s)
+        np.sqrt(np.divide(v, bc2, out=s), out=s)
+        s += cfg.eps
+        np.divide(np.divide(m, bc1, out=g), s, out=g)  # the moments hold g now
+        self._store -= np.multiply(g, cfg.learning_rate, out=g)
 
 
 # -- metrics ----------------------------------------------------------------
@@ -218,16 +230,24 @@ def build_model(patcher_cfg: PatcherConfig, encoder_cfg: EncoderConfig,
     return backbone, decoder
 
 
+def _model_tensors(backbone: Backbone, decoder: Decoder | None,
+                   include_head: bool = True) -> dict:
+    """The model's parameters (Tensors) and buffers (arrays) by checkpoint
+    name, in checkpoint order: backbone parameters, backbone buffers, then
+    decoder parameters."""
+    out = {"backbone." + n: t for n, t in backbone.named_params().items()
+           if include_head or not n.startswith("head.")}
+    out.update({"backbone." + n: buf for n, buf in backbone.named_buffers().items()})
+    if decoder is not None:
+        out.update({"decoder." + n: t for n, t in decoder.named_params().items()})
+    return out
+
+
 def model_state(backbone: Backbone, decoder: Decoder,
                 norm_stats: NormStats | None = None,
                 input_length: int | None = None) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for name, t in backbone.named_params().items():
-        out["backbone." + name] = t.data.copy()
-    for name, buf in backbone.named_buffers().items():
-        out["backbone." + name] = buf.copy()
-    for name, t in decoder.named_params().items():
-        out["decoder." + name] = t.data.copy()
+    out = {name: (t if isinstance(t, np.ndarray) else t.data).copy()
+           for name, t in _model_tensors(backbone, decoder).items()}
     if norm_stats is not None:
         out["norm.mean"] = norm_stats.mean.copy()
         out["norm.std"] = norm_stats.std.copy()
@@ -238,17 +258,7 @@ def model_state(backbone: Backbone, decoder: Decoder,
 
 def load_model_state(backbone: Backbone, decoder: Decoder | None,
                      loaded: dict[str, np.ndarray], include_head: bool = True) -> None:
-    targets: dict = {}
-    for name, t in backbone.named_params().items():
-        if not include_head and name.startswith("head."):
-            continue
-        targets["backbone." + name] = t
-    for name, buf in backbone.named_buffers().items():
-        targets["backbone." + name] = buf
-    if decoder is not None:
-        for name, t in decoder.named_params().items():
-            targets["decoder." + name] = t
-    apply_state(targets, loaded)
+    apply_state(_model_tensors(backbone, decoder, include_head), loaded)
 
 
 def model_from_checkpoint(loaded: dict[str, np.ndarray], ds: Dataset,
@@ -298,10 +308,17 @@ def prepare_splits(ds: Dataset, spec: SplitSpec, stats: NormStats | None = None
 
 def _pretrain_params(backbone: Backbone, decoder: Decoder) -> dict[str, Tensor]:
     """Everything the SSL objective touches; the classifier head stays out."""
-    params = {"backbone." + n: p for n, p in backbone.named_params().items()
-              if not n.startswith("head.")}
-    params.update({"decoder." + n: p for n, p in decoder.named_params().items()})
-    return params
+    return {name: t for name, t in _model_tensors(backbone, decoder, include_head=False).items()
+            if isinstance(t, Tensor)}
+
+
+@contextlib.contextmanager
+def _named(where: str):
+    """An `MtslofError` raised inside comes out with its own type, prefixed `where: `."""
+    try:
+        yield
+    except MtslofError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _train_epoch(optim: AdamW, x: np.ndarray, y: np.ndarray, optcfg: OptimConfig,
@@ -314,13 +331,11 @@ def _train_epoch(optim: AdamW, x: np.ndarray, y: np.ndarray, optcfg: OptimConfig
     """
     losses = []
     for step, (xb, yb) in enumerate(batch_iter(x, y, optcfg.batch_size, seed, epoch)):
-        try:
+        with _named(f"epoch {epoch} step {step}"):
             loss = loss_of(xb, yb)
             optim.zero_grad()
             loss.backward()
             optim.step()
-        except MtslofError as exc:
-            raise type(exc)(f"epoch {epoch} step {step}: {exc}") from exc
         losses.append(float(loss.data))
     return float(np.mean(losses))
 
@@ -330,12 +345,14 @@ def pretrain(train_ds: Dataset, val_ds: Dataset | None, backbone: Backbone,
              optcfg: OptimConfig, seed: int,
              checkpoint_path: str | None = None,
              norm_stats: NormStats | None = None) -> TrainRun:
-    """Shuffled epochs minimizing the occlusion-invariance objective."""
+    """Shuffled epochs minimizing the occlusion-invariance objective; an
+    `MtslofError` of a validation pass is prefixed `epoch E val: `."""
     run = TrainRun(seed=seed, mode="pretrain")
     optim = AdamW(_pretrain_params(backbone, decoder), optcfg)
     c = train_ds.class_count
-    # The masked views' second shard runs in a worker for the whole run;
-    # none is forked when there is no step to run.
+    # The masked views' second shard runs in a worker forked after AdamW laid
+    # out its shared store, so it reads each step's values; none is forked
+    # when there is no step to run.
     with (masked_view_shards(backbone, decoder) if optcfg.epochs and train_ds.n
           else contextlib.nullcontext()) as shards:
         for epoch in range(optcfg.epochs):
@@ -350,7 +367,7 @@ def pretrain(train_ds: Dataset, val_ds: Dataset | None, backbone: Backbone,
             if val_ds is not None and val_ds.n:
                 vrng = np.random.default_rng([seed, epoch, 1])
                 vlosses = []
-                with no_grad():
+                with _named(f"epoch {epoch} val"), no_grad():
                     for xb, _ in batch_iter(val_ds.samples, val_ds.labels, optcfg.batch_size,
                                            seed, epoch, shuffle=False):
                         vloss, _ = lof_loss(Tensor(xb), backbone, decoder, maskcfg, tcrcfg,
@@ -415,7 +432,8 @@ def finetune(train_ds: Dataset, val_ds: Dataset | None, test_ds: Dataset,
              backbone: Backbone, fraction: float, optcfg: OptimConfig,
              seed: int) -> tuple[TrainRun, Metrics]:
     """End-to-end cross-entropy training on a labeled fraction of the
-    training split, starting from a fresh zero-initialized head."""
+    training split, starting from a fresh zero-initialized head; an
+    `MtslofError` of a per-epoch validation is prefixed `epoch E val: `."""
     run = TrainRun(seed=seed, mode="finetune")
     c = test_ds.class_count
     idx = select_fraction(train_ds.n, fraction, seed)
@@ -438,7 +456,8 @@ def finetune(train_ds: Dataset, val_ds: Dataset | None, test_ds: Dataset,
         run.record(epoch, "train", _train_epoch(optim, x, y, optcfg, seed, epoch, loss_of),
                    class_count=c)
         if val_ds is not None and val_ds.n:
-            run.record(epoch, "val", float("nan"), evaluate(backbone, val_ds))
+            with _named(f"epoch {epoch} val"):
+                run.record(epoch, "val", float("nan"), evaluate(backbone, val_ds))
     metrics = evaluate(backbone, test_ds)
     run.record(optcfg.epochs, "test", float("nan"), metrics)
     return run, metrics

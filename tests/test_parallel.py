@@ -1,6 +1,7 @@
 """The two-process pretraining step and representation pass: mask shards,
 row halves, the forked worker and the one-thread BLAS pin."""
 
+import contextlib
 import multiprocessing
 import os
 import subprocess
@@ -18,7 +19,15 @@ from mtslof.data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic,
 from mtslof.errors import GraphConsumedError, NumericError, WorkerError
 from mtslof.objective import MaskConfig, TCRConfig, lof_loss, masked_view_shards, sample_masks
 from mtslof.tensor import Tensor, _run_backward, no_grad, parameter, use_dtype
-from mtslof.training import OptimConfig, _pretrain_params, build_model, pretrain, prepare_splits
+from mtslof.training import (
+    OptimConfig,
+    _pretrain_params,
+    build_model,
+    history_csv,
+    model_state,
+    pretrain,
+    prepare_splits,
+)
 
 def blas_thread_count():
     blas = parallel._openblas_threads()
@@ -80,12 +89,13 @@ def counted_workers(monkeypatch) -> list:
 
 
 def small_pretrain(epochs=1, seed=2019):
-    """A short pretraining run at the acceptance architecture."""
+    """A short pretraining run at the acceptance architecture, and its trained model."""
     ds = generate_synthetic(SyntheticConfig(samples_per_class=12, length=128))
     train, val, _, stats = prepare_splits(ds, SplitSpec())
     backbone, decoder = acceptance_model(seed)
     opt = OptimConfig(learning_rate=2e-3, epochs=epochs, batch_size=16)
-    return pretrain(train, val, backbone, decoder, MaskConfig(0.8, 4), TCRConfig(), opt, seed)
+    run = pretrain(train, val, backbone, decoder, MaskConfig(0.8, 4), TCRConfig(), opt, seed)
+    return run, backbone, decoder
 
 
 # -- the engine --------------------------------------------------------------
@@ -117,8 +127,8 @@ def test_in_process_shards_match_one_shard_of_all_masks(count):
             zfn = ops.l2_normalize(ops.mean_pool(backbone.encode(tokens)))
             cfg = TCRConfig()
             whole, cos, rates = shard.forward(
-                0, [p.data for p in objective._shard_params(backbone, decoder)], tokens.data,
-                zfn.data, masks, None, False, False, (cfg.lam, cfg.tcr_weight, count, cfg.epsilon))
+                0, tokens.data, zfn.data, masks, None, False, False,
+                (cfg.lam, cfg.tcr_weight, count, cfg.epsilon))
     assert float(loss.data) == pytest.approx(float(whole), rel=1e-12)
     assert metrics["tcr_mean"] == pytest.approx(float(rates.mean()), rel=1e-12)
     assert metrics["cos_mean"] == pytest.approx(float(cos.mean()), rel=1e-12)
@@ -153,6 +163,39 @@ def test_worker_and_in_process_paths_are_bit_equal():
                 near = loss_and_grads(backbone, decoder, x, None, masks, grad)
                 assert far == near, (masks is None, grad)
     assert not live_children()
+
+
+@needs_worker
+def test_the_worker_reads_each_steps_parameters(monkeypatch):
+    """A worker that kept its fork-time parameters would train differently."""
+    sides = []
+    for can_run in (True, False):
+        monkeypatch.setattr(parallel, "worker_can_run", lambda: can_run)
+        made = counted_workers(monkeypatch)
+        run, backbone, decoder = small_pretrain(epochs=2)
+        assert len(made) == int(can_run)
+        state = {name: arr.tobytes() for name, arr in model_state(backbone, decoder).items()}
+        sides.append((history_csv(run, 3), state))
+    assert sides[0] == sides[1]
+
+
+@needs_worker
+def test_a_shard_replies_with_its_own_gradients_only():
+    """Gradients a parameter already holds stay out of the shards' replies."""
+    x = tiny_data(4)
+    grads = []
+    for worker in (True, False):
+        backbone, decoder = acceptance_model()
+        params = _pretrain_params(backbone, decoder)
+        for p in params.values():
+            p.grad = np.full_like(p.data, 0.25)
+        # Held before the fork, so the worker's copy of the model holds them too.
+        with masked_view_shards(backbone, decoder) if worker else contextlib.nullcontext() as shards:
+            loss, _ = lof_loss(Tensor(x), backbone, decoder, MaskConfig(0.8, 4), TCRConfig(),
+                               rng=np.random.default_rng(5), shards=shards)
+            loss.backward()
+        grads.append({name: p.grad.tobytes() for name, p in params.items()})
+    assert grads[0] == grads[1]
 
 
 @needs_worker

@@ -1,9 +1,11 @@
 """Harness tests: AdamW, metrics, pretraining, probing, fine-tuning, transfer."""
 
+import os
+
 import numpy as np
 import pytest
 
-from mtslof import backbone, ops, tensor, training
+from mtslof import backbone, ops, parallel, tensor, training
 from mtslof.backbone import EncoderConfig, PatcherConfig
 from mtslof.checkpoint import load_checkpoint, save_checkpoint
 from mtslof.data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic
@@ -109,6 +111,64 @@ def test_adamw_excludes_norm_and_mask_token_from_decay():
     assert float(scale.data[0]) == 1.0
     assert float(token.data[0]) == 1.0
     assert float(weight.data[0]) == pytest.approx(0.95)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_adamw_parameters_stay_views_of_one_shared_store():
+    params = {"w": parameter(np.ones((2, 3))), "norm.gamma": parameter(np.arange(4.0))}
+    initial = {name: p.data.copy() for name, p in params.items()}
+    optim = AdamW(params, OptimConfig(learning_rate=0.1))
+    views = {name: p.data for name, p in params.items()}
+    for p in params.values():
+        assert np.shares_memory(p.data, optim._store)
+    worker = parallel.Worker(lambda _: [p.data.copy() for p in params.values()])
+    try:
+        for _ in range(3):
+            for p in params.values():
+                p.grad = np.ones_like(p.data)
+            optim.step()
+        worker.submit(None)
+        seen = worker.result()
+    finally:
+        worker.close()
+    for (name, p), got in zip(params.items(), seen):
+        assert p.data is views[name] and np.shares_memory(p.data, optim._store)
+        assert not np.array_equal(got, initial[name])
+        assert got.tobytes() == p.data.tobytes(), name
+
+
+def test_adamw_non_finite_gradient_changes_nothing():
+    first, second = parameter(np.array([1.0, -2.0])), parameter(np.array([3.0]))
+    optim = AdamW({"first": first, "second": second}, OptimConfig(learning_rate=0.1))
+    first.grad, second.grad = np.ones_like(first.data), np.ones_like(second.data)
+    optim.step()
+    before = [a.tobytes() for a in (first.data, second.data, optim._m, optim._v)]
+    second.grad = np.array([np.inf], dtype=second.data.dtype)
+    with pytest.raises(NumericError, match="'second'"):
+        optim.step()
+    assert [a.tobytes() for a in (first.data, second.data, optim._m, optim._v)] == before
+    assert optim.step_count == 1
+
+
+def test_adamw_missing_gradient_counts_as_zero():
+    def stepped(second_grad):
+        p = parameter(np.array([1.0, -2.0]))
+        optim = AdamW({"w": p}, OptimConfig(learning_rate=0.1))
+        p.grad = np.ones_like(p.data)
+        optim.step()
+        p.grad = second_grad(p)
+        optim.step()
+        return p.data.tobytes(), optim._m.tobytes(), optim._v.tobytes()
+
+    assert stepped(lambda p: None) == stepped(lambda p: np.zeros_like(p.data))
+
+
+def test_adamw_rejects_parameters_of_two_dtypes():
+    with use_dtype(np.float64):
+        wide = parameter(np.ones(2))
+    narrow = parameter(np.ones(2))
+    with pytest.raises(ConfigError, match="float32 and float64"):
+        AdamW({"wide": wide, "narrow": narrow}, OptimConfig())
 
 
 # -- metrics ----------------------------------------------------------------
@@ -356,6 +416,29 @@ def test_a_step_error_names_its_epoch_and_step(tiny_splits, monkeypatch, mode):
             finetune(train, val, test, backbone, 1.0, opt, seed=0)
         else:
             linear_probe(train, val, test, backbone, opt, seed=0)
+
+
+@pytest.mark.parametrize("mode", ["pretrain", "finetune"])
+def test_a_validation_error_names_its_epoch(tiny_splits, monkeypatch, mode):
+    train, val, test, _ = tiny_splits
+    opt = OptimConfig(epochs=2, batch_size=12)
+    backbone, decoder = tiny_model()
+
+    real = training.lof_loss
+
+    def failing(*args, **kwargs):
+        # Pretraining validates graph-free, its steps do not; finetune's
+        # `evaluate` runs only for validation and test.
+        if mode == "finetune" or not tensor.grad_enabled():
+            raise NumericError("eval failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "lof_loss" if mode == "pretrain" else "evaluate", failing)
+    with pytest.raises(NumericError, match="^epoch 0 val: eval failed$"):
+        if mode == "pretrain":
+            pretrain(train, val, backbone, decoder, MaskConfig(0.8, 2), TCRConfig(), opt, seed=0)
+        else:
+            finetune(train, val, test, backbone, 1.0, opt, seed=0)
 
 
 # -- transfer -----------------------------------------------------------------
