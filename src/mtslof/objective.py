@@ -67,14 +67,15 @@ class TCRConfig:
     tcr_weight: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.lam < 0.0:
-            raise ConfigError(f"lambda must be nonnegative, got {self.lam}")
+        # Each check is written so that NaN fails it; inf is rejected too.
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"lam (lambda) must be nonnegative and finite, got {self.lam}")
         if self.lambda_target not in ("sim", "tcr"):
             raise ConfigError(f"lambda_target must be 'sim' or 'tcr', got {self.lambda_target!r}")
-        if self.tcr_weight < 0.0:
-            raise ConfigError(f"tcr_weight must be nonnegative, got {self.tcr_weight}")
+        if not 0.0 <= self.tcr_weight < math.inf:
+            raise ConfigError(f"tcr_weight must be nonnegative and finite, got {self.tcr_weight}")
 
 
 def hidden_count(p: int, ratio: float) -> int:

@@ -87,6 +87,27 @@ def _col_sum(g: np.ndarray) -> np.ndarray:
     return (np.ones((1, g.shape[0]), dtype=g.dtype) @ g)[0]
 
 
+def _col2im(gcols: np.ndarray, stride: int, length: int) -> np.ndarray:
+    """Adjoint of the im2col windows: (b, t_out, k, c) -> (b, length, c), with
+    window i's kernel offset j added at time i*stride + j.
+
+    Offsets j..j+stride-1 of a window land on `stride` consecutive time
+    steps, so each group of `stride` offsets is one contiguous
+    (stride*c)-wide slab add over all windows (the last group may be
+    narrower). Each time step receives its offsets in ascending order, as a
+    strided slice add per offset would, so the sums are the same bits.
+    """
+    b, t_out, k, c = gcols.shape
+    groups = -(-k // stride)
+    rows = max(t_out + groups - 1, -(-length // stride))
+    out = np.zeros((b, rows, stride * c), dtype=gcols.dtype)
+    flat = gcols.reshape(b, t_out, k * c)
+    for j in range(groups):
+        lo, hi = j * stride * c, min((j + 1) * stride, k) * c
+        out[:, j:j + t_out, :hi - lo] += flat[:, :, lo:hi]
+    return out.reshape(b, rows * stride, c)[:, :length]
+
+
 def conv_output_length(t: int, kernel: int, stride: int, padding: int) -> int:
     return (t + 2 * padding - kernel) // stride + 1
 
@@ -125,9 +146,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     # im2col: backward needs the whole (b, t_out, k*c_in) matrix; without a
     # graph, _gemm_blocks copies the windows one block at a time.
     cols = np.ascontiguousarray(windows).reshape(b, t_out, k * c_in) if tracking else windows
-    data = _gemm_blocks(cols, wmat.T).transpose(0, 2, 1)
+    out = _gemm_blocks(cols, wmat.T)
     if bias is not None:
-        data = data + bias.data[:, None]
+        out += bias.data
+    data = out.transpose(0, 2, 1)
     if not tracking:
         return _const(data)
 
@@ -137,13 +159,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             gw = (gmat.T @ cols.reshape(b * t_out, k * c_in)).reshape(c_out, k, c_in)
             accumulate(weight, np.ascontiguousarray(gw.transpose(0, 2, 1)))
         if bias is not None and bias.requires_grad:
-            accumulate(bias, g.sum(axis=(0, 2)))
+            accumulate(bias, _col_sum(gmat))
         if x.requires_grad:
             gcols = (gmat @ wmat).reshape(b, t_out, k, c_in)
-            gxp = np.zeros_like(xp)
-            # Scatter each kernel offset back as a strided slice add over time.
-            for j in range(k):
-                gxp[:, j : j + stride * t_out : stride] += gcols[:, :, j]
+            gxp = _col2im(gcols, stride, t + 2 * padding)
             accumulate(x, gxp[:, padding : padding + t].transpose(0, 2, 1))
 
     return _from_op(data, parents, backward)
@@ -261,8 +280,15 @@ def gelu(x: Tensor) -> Tensor:
         return _const(data)
 
     def backward(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        accumulate(x, g * (cdf + x.data * pdf))
+        # g * (cdf + x * pdf), pdf = exp(-x*x/2) / sqrt(2 pi), in one array.
+        gx = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
+        gx *= x.data
+        np.exp(gx, out=gx)
+        gx *= _INV_SQRT_2PI
+        gx *= x.data
+        gx += cdf
+        gx *= g
+        accumulate(x, gx)
 
     return _from_op(data, (x,), backward)
 
@@ -290,57 +316,34 @@ def softmax(x: Tensor) -> Tensor:
     return _from_op(data, (x,), backward)
 
 
-def _moments(x: np.ndarray, axes: tuple[int, ...], eps: float):
-    """Mean, variance, inv = 1 / sqrt(var + eps) and x_hat = (x - mean) * inv
-    over the non-negative `axes`; the reduced axes are kept with length one.
+def _moments(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """inv = 1 / sqrt(var + eps) and x_hat = (x - mean) * inv over the last
+    axis, inv kept with length one.
 
-    Over the last axis alone the sums are `_row_sum`s, so each row is the
-    same bits in any batch.
+    The sums are `_row_sum`s, so each row is the same bits in any batch; the
+    variance is the row sum of (x - mean)^2 over d.
     """
-    if axes == (x.ndim - 1,):
-        d = x.shape[-1]
-        mu = _row_sum(x) / d
-        centered = x - mu
-        var = _row_sum(centered * centered) / d
-    else:
-        mu = x.mean(axis=axes, keepdims=True)
-        centered = x - mu
-        var = x.var(axis=axes, keepdims=True)
+    d = x.shape[-1]
+    centered = x - _row_sum(x) / d
+    var = _row_sum(centered * centered) / d
     inv = 1.0 / np.sqrt(var + eps)
-    return mu, var, inv, centered * inv
+    return inv, centered * inv
 
 
-def _moments_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
-                      axes: tuple[int, ...]) -> np.ndarray:
-    """Gradient at x of x_hat, through the moments: inv (g - mean g - x_hat mean(g x_hat))."""
-    if axes == (g.ndim - 1,):
-        d = g.shape[-1]
-        gm = _row_sum(g) / d
-        gy = _row_sum(g * xhat) / d
-    else:
-        gm = g.mean(axis=axes, keepdims=True)
-        gy = (g * xhat).mean(axis=axes, keepdims=True)
+def _moments_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Gradient at x of x_hat over the last axis, through the moments:
+    inv (g - mean g - x_hat mean(g x_hat))."""
+    d = g.shape[-1]
+    gm = _row_sum(g) / d
+    gy = _row_sum(g * xhat) / d
     return inv * (g - gm - xhat * gy)
-
-
-def _standardize(x: Tensor, axes, eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """x_hat over `axes` as one graph node, with the mean and variance it used."""
-    mu, var, inv, xhat = _moments(x.data, axes, eps)
-    if not _tracking(x):
-        return _const(xhat), mu, var
-
-    def backward(g):
-        accumulate(x, _moments_backward(g, xhat, inv, axes))
-
-    return _from_op(xhat, (x,), backward), mu, var
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-slice normalization over the last (feature) axis with learnable
     (d,) scale and shift."""
-    axes = (x.data.ndim - 1,)
     d = x.data.shape[-1]
-    _, _, inv, xhat = _moments(x.data, axes, eps)
+    inv, xhat = _moments(x.data, eps)
     data = xhat * scale.data + shift.data
     if not _tracking(x, scale, shift):
         return _const(data)
@@ -351,7 +354,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
         if shift.requires_grad:
             accumulate(shift, _col_sum(g.reshape(-1, d)).reshape(shift.data.shape))
         if x.requires_grad:
-            accumulate(x, _moments_backward(g * scale.data, xhat, inv, axes))
+            accumulate(x, _moments_backward(g * scale.data, xhat, inv))
 
     return _from_op(data, (x, scale, shift), backward)
 
@@ -361,26 +364,20 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
                 momentum: float, eps: float, training: bool) -> Tensor:
     """Channel-wise batch normalization for (b, c, t) input.
 
-    Train mode normalizes over batch and time per channel and updates the
-    running stats in place (biased variance, consistent with the stats
-    used for normalization). Eval mode applies the running stats; without a
-    graph it writes every step into one array of x's dtype, which has the
-    bits of the Tensor expression when gamma and beta share that dtype.
+    Train mode normalizes over batch and time per channel as one graph node
+    and updates the running stats in place with the moments it used (biased
+    variance). It works on x as a time-major (b*t, c) matrix, a free view of
+    a conv output, and returns that layout; every per-channel sum, forward
+    and backward, is a ones-row product (`_col_sum`). Eval mode applies the
+    running stats; without a graph it writes every step into one array of
+    x's dtype, which has the bits of the Tensor expression when gamma and
+    beta share that dtype. With float32 running stats and momentum 1, eval
+    on the batch just seen is the train output bit for bit.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"batchnorm1d expects (b, c, t) input, got {x.data.shape}")
     b, c, t = x.data.shape
-    if training:
-        if b * t <= 1:
-            raise DegenerateBatchError(
-                f"batchnorm1d needs more than one value per channel in train mode, got batch {b} x time {t}"
-            )
-        y, mu, var = _standardize(x, (0, 2), eps)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.reshape(c)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.reshape(c)
-    else:
+    if not training:
         mean = running_mean[None, :, None].astype(x.data.dtype)
         inv = (1.0 / np.sqrt(running_var + eps))[None, :, None].astype(x.data.dtype)
         if not _tracking(x, gamma, beta):
@@ -391,7 +388,47 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
             y += beta.data.reshape(1, c, 1)
             return _const(y)
         y = (x - mean) * inv
-    return y * reshape(gamma, (1, c, 1)) + reshape(beta, (1, c, 1))
+        return y * reshape(gamma, (1, c, 1)) + reshape(beta, (1, c, 1))
+
+    n = b * t
+    if n <= 1:
+        raise DegenerateBatchError(
+            f"batchnorm1d needs more than one value per channel in train mode, got batch {b} x time {t}"
+        )
+    xm = x.data.transpose(0, 2, 1).reshape(n, c)
+    mu = _col_sum(xm) / n
+    xhat = xm - mu
+    var = _col_sum(xhat * xhat) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    y = xhat * gamma.data
+    y += beta.data
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
+    data = y.reshape(b, t, c).transpose(0, 2, 1)
+    if not _tracking(x, gamma, beta):
+        return _const(data)
+
+    def backward(g):
+        gm = g.transpose(0, 2, 1).reshape(n, c)
+        gsum = _col_sum(gm)
+        gx = gm * xhat
+        gdot = _col_sum(gx)
+        if gamma.requires_grad:
+            accumulate(gamma, gdot)
+        if beta.requires_grad:
+            accumulate(beta, gsum)
+        if x.requires_grad:
+            # gamma inv (g - x_hat mean(g x_hat) - mean g), written into gx.
+            np.multiply(xhat, gdot / n, out=gx)
+            np.subtract(gm, gx, out=gx)
+            gx -= gsum / n
+            gx *= gamma.data * inv
+            accumulate(x, gx.reshape(b, t, c).transpose(0, 2, 1))
+
+    return _from_op(data, (x, gamma, beta), backward)
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,14 +32,15 @@ class OptimConfig:
     batch_size: int = 128
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        # Each check is written so that NaN fails it; inf is rejected too.
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("betas must lie in [0, 1)")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if not self.eps > 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.eps}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be nonnegative and finite, got {self.weight_decay}")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError(f"adam_eps must be positive and finite, got {self.eps}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
 

@@ -5,6 +5,9 @@ import pytest
 def central_diff(f, arr, step=1e-4):
     """Central finite-difference gradient of scalar f w.r.t. a numpy array,
     perturbing it in place."""
+    if not arr.flags.c_contiguous:
+        # reshape(-1) would copy, and f would never see a perturbation.
+        raise ValueError("central_diff needs a C-contiguous array to perturb in place")
     grad = np.zeros_like(arr)
     flat = arr.reshape(-1)
     gflat = grad.reshape(-1)

@@ -128,6 +128,13 @@ def test_mask_ratio_validation():
         MaskConfig(ratio=1.0, count=1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["epsilon", "lam", "tcr_weight"])
+def test_tcr_config_rejects_a_non_finite_value_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=key):
+        TCRConfig(**{key: value})
+
+
 # -- encode_visible --------------------------------------------------------
 
 

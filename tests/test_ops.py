@@ -16,7 +16,7 @@ from mtslof.errors import (
     NotPositiveDefiniteError,
     ShapeError,
 )
-from mtslof.tensor import Tensor, no_grad, parameter, use_dtype
+from mtslof.tensor import Tensor, _from_op, accumulate, no_grad, parameter, use_dtype
 
 
 # -- conv1d -------------------------------------------------------------
@@ -114,6 +114,31 @@ def test_conv1d_transposed_input_bit_equal_to_contiguous_copy(rng, grad):
         results.append([out.data] + ([x.grad, w.grad, b.grad] if grad else []))
     for name, a, c in zip(("out", "x.grad", "w.grad", "b.grad"), *results):
         assert a.shape == c.shape and np.array_equal(a.view(np.uint32), c.view(np.uint32)), name
+
+
+def _col2im_per_offset(gcols, stride, length):
+    """One strided slice add over time per kernel offset: the reference for `ops._col2im`."""
+    b, t_out, k, c = gcols.shape
+    out = np.zeros((b, length, c), dtype=gcols.dtype)
+    for j in range(k):
+        out[:, j:j + stride * t_out:stride] += gcols[:, :, j]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 8])
+def test_col2im_bit_equal_to_one_slice_add_per_offset(rng, dtype, stride, k):
+    # k divisible and not divisible by the stride; odd padded lengths such as
+    # 129 + 2*3, and lengths whose last steps no window reaches.
+    for t, pad in ((129, 3), (64, 3), (k + stride, 0), (k, 1)):
+        length = t + 2 * pad
+        t_out = ops.conv_output_length(t, k, stride, pad)
+        gcols = rng.normal(size=(3, t_out, k, 5)).astype(dtype)
+        out = ops._col2im(gcols, stride, length)
+        expect = _col2im_per_offset(gcols, stride, length)
+        assert out.shape == expect.shape == (3, length, 5)
+        assert np.ascontiguousarray(out).tobytes() == expect.tobytes(), (t, pad)
 
 
 @given(st.integers(1, 40), st.integers(1, 9), st.integers(1, 4), st.integers(0, 4))
@@ -232,18 +257,35 @@ def test_batchnorm_eval_reproduces_formula_after_one_step(rng):
         assert np.allclose(y.data, oracle, rtol=1e-10)
 
 
+def _bn_layout(x, layout):
+    """x (b, c, t) as given, or as the transposed view of a time-major copy,
+    the layout a conv output has."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1) if layout == "time" else x
+
+
 def test_batchnorm_running_stats_are_the_forward_moments(rng):
-    gamma, beta, rm, rv = _bn_state(3)
-    x = rng.normal(1.0, 2.0, size=(4, 3, 9)).astype(np.float32)
-    ops.batchnorm1d(Tensor(x), gamma, beta, rm, rv, 1.0, 1e-5, training=True)
-    assert np.array_equal(rm, x.mean(axis=(0, 2)))
-    assert np.array_equal(rv, x.var(axis=(0, 2)))
+    # With momentum 1 the running stats become the moments the train forward
+    # normalized with, so eval on the same batch is the train output bit for bit.
+    for layout in ("channel", "time"):
+        gamma = parameter(rng.uniform(0.5, 1.5, 16))
+        beta = parameter(rng.normal(size=16))
+        rm, rv = np.zeros(16, dtype=np.float32), np.ones(16, dtype=np.float32)
+        x = _bn_layout(rng.normal(1.0, 2.0, size=(4, 16, 9)).astype(np.float32), layout)
+        train = ops.batchnorm1d(Tensor(x), gamma, beta, rm, rv, 1.0, 1e-5, training=True).data
+        with no_grad():
+            no_graph = ops.batchnorm1d(Tensor(x), gamma, beta, rm, rv, 1.0, 1e-5, training=False).data
+        graph = ops.batchnorm1d(Tensor(x), gamma, beta, rm, rv, 1.0, 1e-5, training=False).data
+        assert train.dtype == np.float32
+        assert np.array_equal(train.view(np.uint32), no_graph.view(np.uint32)), layout
+        assert np.array_equal(train.view(np.uint32), graph.view(np.uint32)), layout
 
 
 def test_batchnorm_degenerate_batch_raises():
     gamma, beta, rm, rv = _bn_state(2)
-    with pytest.raises(DegenerateBatchError):
-        ops.batchnorm1d(Tensor(np.zeros((1, 2, 1))), gamma, beta, rm, rv, 0.1, 1e-5, True)
+    for layout in ("channel", "time"):
+        with pytest.raises(DegenerateBatchError):
+            ops.batchnorm1d(Tensor(_bn_layout(np.zeros((1, 2, 1)), layout)), gamma, beta, rm, rv,
+                            0.1, 1e-5, True)
 
 
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
@@ -254,21 +296,48 @@ def test_batchnorm_rejects_unbatched_input(training):
 
 
 def test_batchnorm_grad_matches_finite_differences(rng):
-    with use_dtype(np.float64):
-        xv = rng.normal(size=(3, 2, 5))
-        x = parameter(xv.copy())
-        gamma = parameter(rng.uniform(0.5, 1.5, 2))
-        beta = parameter(rng.normal(size=2))
-        r = Tensor(rng.normal(size=(3, 2, 5)))
+    for layout in ("channel", "time"):
+        with use_dtype(np.float64):
+            x = parameter(_bn_layout(rng.normal(size=(3, 2, 5)), layout))
+            gamma = parameter(rng.uniform(0.5, 1.5, 2))
+            beta = parameter(rng.normal(size=2))
+            r = Tensor(rng.normal(size=(3, 2, 5)))
 
-        def fwd():
-            return (ops.batchnorm1d(Tensor(x.data), Tensor(gamma.data), Tensor(beta.data),
-                                    np.zeros(2), np.ones(2), 0.1, 1e-5, True) * r).sum()
+            def loss(*args):
+                return (ops.batchnorm1d(*args, np.zeros(2), np.ones(2), 0.1, 1e-5, True) * r).sum()
 
-        loss = (ops.batchnorm1d(x, gamma, beta, np.zeros(2), np.ones(2), 0.1, 1e-5, True) * r).sum()
-        loss.backward()
-        fd = central_diff(lambda: float(fwd().data), x.data)
-        assert_grads_close(x.grad, fd, rtol=1e-4, label="batchnorm x")
+            loss(x, gamma, beta).backward()
+            # central_diff perturbs a C-contiguous array in place: for the
+            # time-major x that is the (b, t, c) array behind the transposed view.
+            time_major = (lambda a: a.transpose(0, 2, 1)) if layout == "time" else (lambda a: a)
+            for label, data, grad in (("x", time_major(x.data), time_major(x.grad)),
+                                      ("gamma", gamma.data, gamma.grad),
+                                      ("beta", beta.data, beta.grad)):
+                fd = central_diff(
+                    lambda: float(loss(Tensor(x.data), Tensor(gamma.data), Tensor(beta.data)).data),
+                    data)
+                assert_grads_close(grad, fd, rtol=1e-4, label=f"batchnorm {label} {layout}")
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "grad"])
+def test_batchnorm_train_time_major_input_bit_equal_to_channel_major(rng, grad):
+    # The node works on x as a time-major matrix, a free view of a conv
+    # output; a channel-major input is copied into it and gives the same bits.
+    x0 = rng.normal(size=(4, 3, 11)).astype(np.float32)
+    r = rng.normal(size=(4, 3, 11)).astype(np.float32)
+    results = []
+    for xv in (x0, _bn_layout(x0, "time")):
+        x = Tensor(xv, requires_grad=True)
+        gamma = parameter(np.linspace(0.5, 1.5, 3))
+        beta = parameter(np.linspace(-1.0, 1.0, 3))
+        rm, rv = np.zeros(3, dtype=np.float32), np.ones(3, dtype=np.float32)
+        with contextlib.nullcontext() if grad else no_grad():
+            out = ops.batchnorm1d(x, gamma, beta, rm, rv, 0.1, 1e-5, True)
+            if grad:
+                (out * Tensor(r)).sum().backward()
+        results.append([out.data, rm, rv] + ([x.grad, gamma.grad, beta.grad] if grad else []))
+    for name, a, c in zip(("out", "mean", "var", "x", "gamma", "beta"), *results):
+        assert a.shape == c.shape and np.array_equal(a.view(np.uint32), c.view(np.uint32)), name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -368,6 +437,22 @@ def test_gelu_and_normal_cdf_keep_a_transposed_layout(rng):
         assert np.array_equal(out.view(np.uint32), expect.view(np.uint32))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(), (33,), (4, 70, 9)], ids=["0d", "1d", "transposed"])
+def test_gelu_backward_bit_equal_to_the_expression(rng, dtype, shape):
+    x = (3.0 * rng.normal(size=shape)).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    if x.ndim == 3:  # a conv output's layout
+        x, g = x.transpose(0, 2, 1), g.transpose(0, 2, 1)
+    with use_dtype(dtype):
+        xt = Tensor(x, requires_grad=True)
+        (ops.gelu(xt) * Tensor(g)).sum().backward()
+    pdf = ops._INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    expect = g * (ops.normal_cdf(x) + x * pdf)
+    assert xt.grad.shape == x.shape and xt.grad.dtype == dtype
+    assert np.ascontiguousarray(xt.grad).tobytes() == np.ascontiguousarray(expect).tobytes()
+
+
 # -- softmax ------------------------------------------------------------
 
 
@@ -446,17 +531,23 @@ def test_layer_norm_grad_on_4x8(rng):
                 assert_grads_close(tensor.grad, fd, rtol=1e-4, label=f"layer_norm {label} {shape}")
 
 
-def normalize_moments(x: Tensor, axes, eps: float) -> Tensor:
-    """(x - mean) / sqrt(var + eps) over `axes`, differentiating through the
-    stats: the composed reference for `ops.layer_norm`."""
-    return ops._standardize(x, tuple(ax % x.data.ndim for ax in axes), eps)[0]
+def normalize_moments(x: Tensor, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) over the last axis as one graph node,
+    differentiating through the stats: the composed reference for
+    `ops.layer_norm`."""
+    inv, xhat = ops._moments(x.data, eps)
+
+    def backward(g):
+        accumulate(x, ops._moments_backward(g, xhat, inv))
+
+    return _from_op(xhat, (x,), backward)
 
 
 def test_layer_norm_forward_bit_equal_to_composed_expression(rng):
     x = parameter(rng.normal(3.0, 2.0, size=(5, 7, 16)))
     scale = parameter(rng.uniform(0.5, 1.5, 16))
     shift = parameter(rng.normal(size=16))
-    composed = normalize_moments(x, (-1,), 1e-5) * scale + shift
+    composed = normalize_moments(x, 1e-5) * scale + shift
     out = ops.layer_norm(x, scale, shift, 1e-5)
     assert out.data.dtype == np.float32
     assert np.array_equal(out.data, composed.data)

@@ -1,5 +1,6 @@
 """Harness tests: AdamW, metrics, pretraining, probing, fine-tuning, transfer."""
 
+import math
 import os
 
 import numpy as np
@@ -363,6 +364,13 @@ def test_select_fraction_validation():
         select_fraction(10, 0.0, seed=0)
     with pytest.raises(ConfigError):
         select_fraction(10, 1.5, seed=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["learning_rate", "weight_decay", "eps"])
+def test_optim_config_rejects_a_non_finite_value_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=key):
+        OptimConfig(**{key: value})
 
 
 def test_finetune_full_fraction_runs_and_reports(tiny_splits):
