@@ -64,7 +64,6 @@ class EncoderConfig:
     depth: int = 4
     ffn_multiplier: int = 4
     dropout: float = 0.1
-    pre_norm: bool = True
 
     def __post_init__(self):
         if self.model_dim < 1 or self.heads < 1 or self.depth < 0 or self.ffn_multiplier < 1:
@@ -236,13 +235,8 @@ class EncoderBlock:
     def __call__(self, x: Tensor, training: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
         rate = self.cfg.dropout
-        if self.cfg.pre_norm:
-            x = x + ops.dropout(self.attn(self.norm1(x)), rate, training, rng)
-            x = x + ops.dropout(self.ffn(self.norm2(x)), rate, training, rng)
-        else:
-            x = self.norm1(x + ops.dropout(self.attn(x), rate, training, rng))
-            x = self.norm2(x + ops.dropout(self.ffn(x), rate, training, rng))
-        return x
+        x = x + ops.dropout(self.attn(self.norm1(x)), rate, training, rng)
+        return x + ops.dropout(self.ffn(self.norm2(x)), rate, training, rng)
 
     def named_tensors(self, prefix: str) -> dict[str, Tensor]:
         out = self.norm1.named_tensors(prefix + "norm1.")

@@ -53,21 +53,12 @@ from .training import (
 )
 
 
-def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("true", "1", "yes", "on"):
-        return True
-    if v in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"cannot parse boolean from {s!r}")
-
-
 def _parse_int_list(s: str) -> list[int]:
-    return [int(v) for v in str(s).split(",") if v.strip() != ""]
+    return [int(v) for v in s.split(",") if v.strip() != ""]
 
 
 def _parse_float_list(s: str) -> list[float]:
-    return [float(v) for v in str(s).split(",") if v.strip() != ""]
+    return [float(v) for v in s.split(",") if v.strip() != ""]
 
 
 def _parse_key(key: str, parser, value: str):
@@ -79,8 +70,6 @@ def _parse_key(key: str, parser, value: str):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, list):
         return ",".join(_fmt(v) for v in value)
     if isinstance(value, float):
@@ -113,13 +102,11 @@ SCHEMA: dict[str, tuple] = {
     "depth": (4, int, "encoder blocks"),
     "ffn_multiplier": (4, int, "feed-forward width multiplier"),
     "dropout": (0.1, float, "dropout rate"),
-    "pre_norm": (True, _parse_bool, "pre-norm (true) or post-norm blocks"),
     "decoder_depth": (4, int, "decoder blocks"),
     # masking and objective
     "mask_ratio": (0.8, float, "fraction of patches hidden per view"),
     "num_masks": (20, int, "distinct masks per sample"),
     "lambda": (100.0, float, "balance weight between similarity and coding-rate terms"),
-    "lambda_target": ("sim", str, "which term lambda multiplies: sim or tcr"),
     "epsilon": (math.sqrt(0.2), float, "coding-rate distortion (default sqrt(0.2))"),
     "tcr_weight": (1.0, float, "coding-rate term weight; 0 removes it"),
     # optimization
@@ -138,8 +125,12 @@ SCHEMA: dict[str, tuple] = {
     "mask_ratios": ([0.8], _parse_float_list, "ablation grid of mask ratios"),
 }
 
+
 def resolve_config(config_path: str | None, args: argparse.Namespace) -> dict:
-    """defaults <- config file <- flags; unknown keys are rejected."""
+    """defaults <- config file <- flags; unknown keys are rejected.
+
+    A value from a file or a flag is a string, parsed by its key's SCHEMA parser.
+    """
     cfg = {key: default for key, (default, _, _) in SCHEMA.items()}
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
@@ -159,21 +150,23 @@ def resolve_config(config_path: str | None, args: argparse.Namespace) -> dict:
                 key = key.strip()
                 if key not in SCHEMA:
                     raise ConfigError(f"{config_path}:{lineno}: unknown configuration key {key!r}")
-                parser = SCHEMA[key][1]
                 try:
-                    cfg[key] = parser(value.strip())
-                except (ValueError, ConfigError) as exc:
-                    raise ConfigError(f"{config_path}:{lineno}: bad value for {key}: {exc}") from exc
+                    cfg[key] = _parse_key(key, SCHEMA[key][1], value.strip())
+                except ConfigError as exc:
+                    raise ConfigError(f"{config_path}:{lineno}: {exc}") from exc
     for key, (_, parser, _) in SCHEMA.items():
         value = getattr(args, key, None)
         if value is not None:
-            cfg[key] = _parse_key(key, parser, value) if isinstance(value, str) else value
+            cfg[key] = _parse_key(key, parser, value)
         if parser in (float, _parse_float_list):
             values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"bad value for {key}: {_fmt(cfg[key])} is not finite")
     if not cfg["seeds"]:
         raise ConfigError("bad value for seeds: the seed list is empty")
+    # gen-data's --seed seeds the generator when --data-seed is not given.
+    if args.command == "gen-data" and args.data_seed is None and args.seeds is not None:
+        cfg["data_seed"] = cfg["seeds"][0]
     # numpy seeds must be non-negative; a signature_seed of -1 reuses data_seed.
     for key, low in (("seeds", 0), ("data_seed", 0), ("split_seed", 0), ("signature_seed", -1)):
         if min(cfg[key] if isinstance(cfg[key], list) else [cfg[key]]) < low:
@@ -214,11 +207,9 @@ def _configs_from(cfg: dict, input_channels: int) -> tuple[PatcherConfig, Encode
     patcher = PatcherConfig(first_kernel=cfg["first_kernel"], first_stride=cfg["first_stride"],
                             channel_widths=widths, input_channels=input_channels)
     encoder = EncoderConfig(model_dim=cfg["d_model"], heads=cfg["heads"], depth=cfg["depth"],
-                            ffn_multiplier=cfg["ffn_multiplier"], dropout=cfg["dropout"],
-                            pre_norm=cfg["pre_norm"])
+                            ffn_multiplier=cfg["ffn_multiplier"], dropout=cfg["dropout"])
     maskcfg = MaskConfig(ratio=cfg["mask_ratio"], count=cfg["num_masks"])
-    tcrcfg = TCRConfig(epsilon=cfg["epsilon"], lam=cfg["lambda"],
-                       lambda_target=cfg["lambda_target"], tcr_weight=cfg["tcr_weight"])
+    tcrcfg = TCRConfig(epsilon=cfg["epsilon"], lam=cfg["lambda"], tcr_weight=cfg["tcr_weight"])
     optcfg = OptimConfig(learning_rate=cfg["lr"], weight_decay=cfg["weight_decay"],
                          beta1=cfg["beta1"], beta2=cfg["beta2"], eps=cfg["adam_eps"],
                          epochs=cfg["epochs"], batch_size=cfg["batch_size"])
@@ -272,12 +263,9 @@ def _summary_csv(rows: list[tuple[int, float, float]]) -> str:
 
 def cmd_gen_data(cfg: dict, args) -> int:
     sig_seed = None if cfg["signature_seed"] < 0 else cfg["signature_seed"]
-    data_seed = cfg["data_seed"]
-    if args.data_seed is None and args.seeds is not None:
-        data_seed = cfg["seeds"][0]
     syn = SyntheticConfig(class_count=cfg["classes"], channels=cfg["channels"],
                           length=cfg["length"], samples_per_class=cfg["samples_per_class"],
-                          noise_std=cfg["noise_std"], seed=data_seed,
+                          noise_std=cfg["noise_std"], seed=cfg["data_seed"],
                           phase_jitter=cfg["phase_jitter"], signature_seed=sig_seed)
     ds = generate_synthetic(syn)
     save_dataset(ds, args.out)
@@ -431,6 +419,22 @@ def cmd_ablate(cfg: dict, args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+# The configuration keys that each command takes as flags, in --help order.
+_RUN_KEYS = ("seeds", "epochs", "batch_size", "lr", "weight_decay", "mask_ratio", "num_masks",
+             "lambda", "epsilon", "tcr_weight", "d_model", "heads", "depth", "ffn_multiplier",
+             "dropout", "decoder_depth", "first_kernel", "first_stride", "channel_widths",
+             "split_seed", "fraction")
+_DATA_KEYS = ("classes", "channels", "length", "samples_per_class", "noise_std", "phase_jitter",
+              "data_seed", "signature_seed")
+
+
+def _add_keys(sub: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+    """One flag per key: --key-with-dashes (--seed for seeds), its value left a string."""
+    for key in keys:
+        flag = "--seed" if key == "seeds" else "--" + key.replace("_", "-")
+        sub.add_argument(flag, dest=key, help=SCHEMA[key][2])
+
+
 def _add_common(sub: argparse.ArgumentParser, *, data=False, checkpoint=False,
                 out=False, save_checkpoint=False) -> None:
     sub.add_argument("--config", help="key=value configuration file")
@@ -443,28 +447,7 @@ def _add_common(sub: argparse.ArgumentParser, *, data=False, checkpoint=False,
     if save_checkpoint:
         sub.add_argument("--save-checkpoint", dest="save_checkpoint",
                          help="write the post-run model state here")
-    sub.add_argument("--seed", dest="seeds", metavar="SEED", help="comma list of seeds")
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--weight-decay", dest="weight_decay", type=float)
-    sub.add_argument("--mask-ratio", dest="mask_ratio", type=float)
-    sub.add_argument("--num-masks", dest="num_masks", type=int)
-    sub.add_argument("--lambda", dest="lambda", type=float)
-    sub.add_argument("--lambda-target", dest="lambda_target")
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--tcr-weight", dest="tcr_weight", type=float)
-    sub.add_argument("--d-model", dest="d_model", type=int)
-    sub.add_argument("--heads", type=int)
-    sub.add_argument("--depth", type=int)
-    sub.add_argument("--ffn-multiplier", dest="ffn_multiplier", type=int)
-    sub.add_argument("--dropout", type=float)
-    sub.add_argument("--decoder-depth", dest="decoder_depth", type=int)
-    sub.add_argument("--first-kernel", dest="first_kernel", type=int)
-    sub.add_argument("--first-stride", dest="first_stride", type=int)
-    sub.add_argument("--channel-widths", dest="channel_widths")
-    sub.add_argument("--split-seed", dest="split_seed", type=int)
-    sub.add_argument("--fraction", type=float)
+    _add_keys(sub, _RUN_KEYS)
 
 
 @functools.lru_cache(maxsize=1)
@@ -482,14 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("gen-data", help="write a synthetic dataset file")
     _add_common(gen, out=True)
-    gen.add_argument("--classes", type=int)
-    gen.add_argument("--channels", type=int)
-    gen.add_argument("--length", type=int)
-    gen.add_argument("--samples-per-class", dest="samples_per_class", type=int)
-    gen.add_argument("--noise-std", dest="noise_std", type=float)
-    gen.add_argument("--phase-jitter", dest="phase_jitter", type=float)
-    gen.add_argument("--data-seed", dest="data_seed", type=int)
-    gen.add_argument("--signature-seed", dest="signature_seed", type=int)
+    _add_keys(gen, _DATA_KEYS)
     gen.set_defaults(func=cmd_gen_data)
 
     pre = subs.add_parser("pretrain", help="self-supervised pretraining")
@@ -507,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = subs.add_parser("eval", help="evaluate a checkpoint on a split")
     _add_common(ev, data=True, checkpoint=True)
     ev.add_argument("--out", help="optional metrics CSV path")
-    ev.add_argument("--split", dest="eval_split", choices=("train", "val", "test"))
+    ev.add_argument("--split", dest="eval_split", choices=("train", "val", "test"),
+                    help=SCHEMA["eval_split"][2])
     ev.set_defaults(func=cmd_eval)
 
     exp = subs.add_parser("export-embeddings", help="CSV of pooled representations")
@@ -516,8 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     abl = subs.add_parser("ablate", help="mask-count x mask-ratio sweep")
     _add_common(abl, data=True, out=True)
-    abl.add_argument("--mask-counts", dest="mask_counts")
-    abl.add_argument("--mask-ratios", dest="mask_ratios")
+    _add_keys(abl, ("mask_counts", "mask_ratios"))
     abl.set_defaults(func=cmd_ablate)
 
     return parser

@@ -269,9 +269,13 @@ def load_csv(path: str) -> Dataset:
                 raise DataFormatError(f"line {lineno}: need at least one value and a label")
             try:
                 rows.append([float(v) for v in parts[:-1]])
-                labels.append(int(float(parts[-1])))
-            except (ValueError, OverflowError) as exc:
+                label = float(parts[-1])
+            except ValueError as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from exc
+            if not (label.is_integer() and -2.0**63 <= label < 2.0**63):
+                raise DataFormatError(f"line {lineno}: label {parts[-1].strip()!r} is not a whole "
+                                      "number that fits in int64")
+            labels.append(int(label))
             if len(rows[-1]) != len(rows[0]):
                 raise DataFormatError(f"line {lineno}: ragged row of length {len(rows[-1])}")
             with np.errstate(over="ignore"):

@@ -56,14 +56,12 @@ class TCRConfig:
     """Distortion and balance settings for the coding-rate regularizer.
 
     `epsilon` is the distortion scale (default sqrt(0.2), i.e. epsilon^2 = 0.2).
-    `lam` multiplies the similarity term by default; `lambda_target` flips it
-    onto the coding-rate term instead. `tcr_weight` scales the coding-rate
+    `lam` multiplies the similarity term. `tcr_weight` scales the coding-rate
     term and setting it to zero removes the term for ablations.
     """
 
     epsilon: float = math.sqrt(0.2)
     lam: float = 100.0
-    lambda_target: str = "sim"
     tcr_weight: float = 1.0
 
     def __post_init__(self):
@@ -72,8 +70,6 @@ class TCRConfig:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 <= self.lam < math.inf:
             raise ConfigError(f"lam (lambda) must be nonnegative and finite, got {self.lam}")
-        if self.lambda_target not in ("sim", "tcr"):
-            raise ConfigError(f"lambda_target must be 'sim' or 'tcr', got {self.lambda_target!r}")
         if not 0.0 <= self.tcr_weight < math.inf:
             raise ConfigError(f"tcr_weight must be nonnegative and finite, got {self.tcr_weight}")
 
@@ -427,11 +423,9 @@ def lof_loss(x: Tensor, backbone: Backbone, decoder: Decoder,
     rngs = rng.spawn(SHARDS) if rng is not None else [None] * SHARDS
     if shards is None:
         shards = [parallel.Local(MaskedViewShard(backbone, decoder)) for _ in range(SHARDS)]
-    sim_weight = tcrcfg.lam if tcrcfg.lambda_target == "sim" else 1.0
-    tcr_weight = tcrcfg.tcr_weight * (tcrcfg.lam if tcrcfg.lambda_target == "tcr" else 1.0)
     total, cos, rates = _masked_views(tokens_pe, zfn, masks, _shard_params(backbone, decoder),
                                       shards, rngs, training,
-                                      (sim_weight, tcr_weight, n, tcrcfg.epsilon))
+                                      (tcrcfg.lam, tcrcfg.tcr_weight, n, tcrcfg.epsilon))
 
     metrics = {
         "sim_loss": float(-cos.mean()),

@@ -1,5 +1,6 @@
 """End-to-end CLI tests running main() in process."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -64,6 +65,26 @@ def test_gen_data_seed_flag_repeated_gives_identical_files(tmp_path):
     assert open(a, "rb").read() != open(c, "rb").read()
 
 
+def test_gen_data_seed_flag_is_the_echoed_data_seed(tmp_path, capsys):
+    def data_seed(*flags) -> str:
+        assert main(["gen-data", "--samples-per-class", "5", *flags]) == 0
+        return next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("data_seed="))
+
+    a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+    assert data_seed("--out", a, "--seed", "7") == "data_seed=7"
+    assert data_seed("--out", b, "--data-seed", "7") == "data_seed=7"
+    assert open(a, "rb").read() == open(b, "rb").read()
+    # --data-seed, then --seed, then the config file, then the default
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("data_seed=5\n")
+    c = str(tmp_path / "c.bin")
+    assert data_seed("--out", c, "--data-seed", "3", "--seed", "7") == "data_seed=3"
+    assert data_seed("--out", c, "--config", str(cfg), "--seed", "7") == "data_seed=7"
+    assert data_seed("--out", c, "--config", str(cfg)) == "data_seed=5"
+    assert data_seed("--out", c) == "data_seed=0"
+
+
 def test_gen_data_invalid_classes_rejected(tmp_path, capsys):
     code = main(["gen-data", "--out", str(tmp_path / "x.bin"), "--classes", "0"])
     assert code != 0
@@ -99,6 +120,28 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     code = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.bin")])
     assert code != 0
     assert "unknown configuration key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["pre_norm=false", "lambda_target=tcr"])
+def test_config_file_setting_a_deleted_key_rejected(tmp_path, capsys, line):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "x.bin"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+    key = line.split("=")[0]
+    assert f"error: {cfg}:1: unknown configuration key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pretrain_rejects_a_csv_label_too_large_for_int64(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_bytes(b"0.1,0.2,0.3,0.4,0\n0.1,0.2,0.3,0.4,1e30\n")
+    out = tmp_path / "x.csv"
+    assert main(["pretrain", "--data", str(data), "--checkpoint", str(tmp_path / "x.ckpt"),
+                 "--out", str(out), "--epochs", "1", *TINY]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "error: line 2: label '1e30' is not a whole number that fits in int64"
+    assert sorted(os.listdir(tmp_path)) == ["big.csv"]
 
 
 @pytest.mark.parametrize("reader", ["csv", "config"])
@@ -424,6 +467,50 @@ def test_consecutive_main_calls_leave_no_state_in_the_parser(workdir, tmp_path, 
     assert split_default["eval_split"] == "test"
     assert split_default["seeds"] == defaults["seeds"]
     assert open(tmp_path / "c.bin", "rb").read() == open(tmp_path / "d0.bin", "rb").read()
+
+
+_RUN_FLAGS = ["--seed", "--epochs", "--batch-size", "--lr", "--weight-decay", "--mask-ratio",
+              "--num-masks", "--lambda", "--epsilon", "--tcr-weight", "--d-model", "--heads",
+              "--depth", "--ffn-multiplier", "--dropout", "--decoder-depth", "--first-kernel",
+              "--first-stride", "--channel-widths", "--split-seed", "--fraction"]
+_COMMAND_FLAGS = {
+    "gen-data": ["--config", "--out", *_RUN_FLAGS, "--classes", "--channels", "--length",
+                 "--samples-per-class", "--noise-std", "--phase-jitter", "--data-seed",
+                 "--signature-seed"],
+    "pretrain": ["--config", "--data", "--checkpoint", "--out", *_RUN_FLAGS],
+    "probe": ["--config", "--data", "--checkpoint", "--out", "--save-checkpoint", *_RUN_FLAGS],
+    "finetune": ["--config", "--data", "--checkpoint", "--out", "--save-checkpoint", *_RUN_FLAGS],
+    "eval": ["--config", "--data", "--checkpoint", *_RUN_FLAGS, "--out", "--split"],
+    "export-embeddings": ["--config", "--data", "--checkpoint", "--out", *_RUN_FLAGS],
+    "ablate": ["--config", "--data", "--out", *_RUN_FLAGS, "--mask-counts", "--mask-ratios"],
+}
+
+
+_PATH_DESTS = {"config", "data", "checkpoint", "out", "save_checkpoint"}
+
+
+def test_each_command_takes_its_flags_as_strings():
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(_COMMAND_FLAGS)
+    for command, sub in subs.choices.items():
+        actions = [a for a in sub._actions if a.option_strings != ["-h", "--help"]]
+        assert [s for a in actions for s in a.option_strings] == _COMMAND_FLAGS[command]
+        for a in actions:
+            assert a.type is None, (command, a.dest)
+            assert a.dest in _PATH_DESTS or a.help == SCHEMA[a.dest][2], (command, a.dest)
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--epochs", "x", "epochs"), ("--d-model", "1.5", "d_model"), ("--lr", "abc", "lr"),
+])
+def test_bad_flag_value_exits_one_naming_the_key(workdir, tmp_path, capsys, flag, value, key):
+    code = main(["pretrain", "--data", workdir["data"], "--checkpoint", str(tmp_path / "x.ckpt"),
+                 "--out", str(tmp_path / "x.csv"), "--epochs", "1", *TINY, flag, value])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: bad value for {key}: "), captured.err
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
 
 
 def test_export_embeddings_rejects_non_finite_checkpoint(workdir, tmp_path, capsys):

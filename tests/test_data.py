@@ -153,7 +153,7 @@ def test_single_sample_file_loads_but_split_fails(tmp_path):
 
 def test_csv_import_single_channel(tmp_path):
     path = tmp_path / "d.csv"
-    path.write_text("1.0,2.0,3.0,0\n4.0,5.0,6.0,1\n")
+    path.write_text("1.0,2.0,3.0,0\n4.0,5.0,6.0,1.0\n")
     ds = load_csv(str(path))
     assert ds.samples.shape == (2, 1, 3)
     assert ds.class_count == 2
@@ -170,6 +170,14 @@ def test_csv_non_finite_value_names_line_sample_and_time(tmp_path):
         load_csv(str(path))
     path.write_text("1.0,2.0,3.0,0\n4.0,5.0,6.0,inf\n")
     with pytest.raises(DataFormatError, match="line 2: "):
+        load_csv(str(path))
+
+
+@pytest.mark.parametrize("label", ["1.7", "-0.5", "1e30"], ids=["fraction", "negative", "huge"])
+def test_csv_label_that_is_not_a_whole_int64_rejected_naming_the_line(tmp_path, label):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"1.0,2.0,3.0,0\n# note\n4.0,5.0,6.0,{label}\n")
+    with pytest.raises(DataFormatError, match=f"^line 3: label '{label}' is not a whole number"):
         load_csv(str(path))
 
 

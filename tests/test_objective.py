@@ -498,20 +498,15 @@ def test_lof_loss_grads_match_finite_differences(rng):
             assert_grads_close(param.grad, fd, rtol=1e-5, atol=1e-8, label=label)
 
 
-def test_lof_lambda_target_switch(rng):
+def test_lof_lambda_weights_the_similarity_term(rng):
     with use_dtype(np.float64):
         backbone, decoder = tiny_model()
         xs = rng.normal(size=(2, 2, 32))
         masks = np.stack([sample_masks(4, MaskConfig(0.8, 2, rng_seed=j)) for j in range(2)])
         with no_grad():
-            on_sim, m1 = lof_loss(Tensor(xs), backbone, decoder, MaskConfig(0.8, 2),
-                                  TCRConfig(lam=10.0, lambda_target="sim"),
-                                  masks=masks, training=False)
-            on_tcr, m2 = lof_loss(Tensor(xs), backbone, decoder, MaskConfig(0.8, 2),
-                                  TCRConfig(lam=10.0, lambda_target="tcr"),
-                                  masks=masks, training=False)
-        assert float(on_sim.data) == pytest.approx(10.0 * m1["sim_loss"] - m1["tcr_mean"], rel=1e-8)
-        assert float(on_tcr.data) == pytest.approx(m2["sim_loss"] - 10.0 * m2["tcr_mean"], rel=1e-8)
+            loss, m = lof_loss(Tensor(xs), backbone, decoder, MaskConfig(0.8, 2),
+                               TCRConfig(lam=10.0), masks=masks, training=False)
+        assert float(loss.data) == pytest.approx(10.0 * m["sim_loss"] - m["tcr_mean"], rel=1e-8)
 
 
 def test_lof_loss_decreases_over_optimization(rng):

@@ -5,7 +5,10 @@ the same bytes.
 
 The session runs gen-data, pretrain (2 epochs), finetune, probe, eval,
 export-embeddings and ablate in this process through `mtslof.cli.main`, at
-the acceptance architecture, in a fresh temporary directory and with
+the acceptance architecture, then a 1-epoch pretrain that takes every
+setting but its paths from a `--config` file the tool writes first (the
+same architecture and training flags, as `key=value` lines). It runs in a
+fresh temporary directory and with
 relative paths, so the paths written into `.run.txt` files are the same in
 every run. For each command it prints the exit code and the sha256 of its
 stdout, then one `sha256  name` line for every file the session wrote.
@@ -41,7 +44,13 @@ SESSION = [
      *ARCH],
     ["ablate", "--data", "data.bin", "--out", "ablate.csv", "--mask-counts", "1,2",
      "--epochs", "1", "--seed", "2019", *ARCH],
+    ["pretrain", "--config", "pre.cfg", "--data", "data.bin", "--checkpoint", "pre_cfg.ckpt",
+     "--out", "pre_cfg.csv"],
 ]
+
+# ARCH as config-file lines, plus the epochs and seed of the config-file pretrain.
+CONFIG = "".join(f"{flag[2:].replace('-', '_')}={value}\n"
+                 for flag, value in zip(ARCH[::2], ARCH[1::2])) + "epochs=1\nseeds=2019\n"
 
 
 def sha256(blob: bytes) -> str:
@@ -66,6 +75,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
+            with open("pre.cfg", "w", encoding="utf-8") as fh:
+                fh.write(CONFIG)
             for argv_ in SESSION:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
